@@ -10,7 +10,7 @@ PARALLEL_PKGS = ./internal/parallel ./internal/tensor ./internal/nn \
                 ./internal/shapley ./internal/detect ./internal/av \
                 ./internal/server ./internal/features ./internal/gateway \
                 ./internal/faultinject ./internal/engine ./internal/analysis \
-                ./internal/tenant
+                ./internal/tenant ./internal/telemetry
 
 # BENCH_N.json names follow the PR sequence and are append-only history:
 # benchjson refuses to overwrite an existing trajectory file, so a new run

@@ -51,7 +51,9 @@ import (
 	"time"
 
 	"mpass/internal/corpus"
+	"mpass/internal/gateway"
 	"mpass/internal/parallel"
+	"mpass/internal/server"
 )
 
 func main() {
@@ -115,7 +117,7 @@ func main() {
 
 	// Cluster runs judge cache affinity on this run alone: snapshot the
 	// fleet counters before the burst and diff afterwards.
-	var pre *clusterDoc
+	var pre *gateway.ClusterMetrics
 	if *cluster {
 		var err error
 		if pre, err = fetchClusterMetrics(base); err != nil {
@@ -216,8 +218,8 @@ func main() {
 		}
 	}
 
-	var snap *metricsDoc
-	var post *clusterDoc
+	var snap *server.MetricsDoc
+	var post *gateway.ClusterMetrics
 	if *cluster {
 		// The burst's HTTP responses are all in, but replica-side counters
 		// may still be settling (batcher flushes, health probes mid-scrape),
@@ -230,32 +232,32 @@ func main() {
 		}
 		snap = &post.Cluster
 	} else {
-		// Sum the per-target snapshots so the cross-check below covers a
-		// striped multi-target run too.
-		snap = &metricsDoc{}
+		// Merge the per-target documents the way the gateway merges its
+		// fleet, so the cross-check below covers a striped run too.
+		snap = &server.MetricsDoc{}
 		for _, b := range bases {
-			m, err := fetchMetrics(b)
-			if err != nil {
+			var m server.MetricsDoc
+			if err := fetchMetrics(b, &m); err != nil {
 				log.Fatal(err)
 			}
-			addMetrics(snap, m)
+			snap.Merge(&m)
 		}
 	}
-	if got := snap.ScanRequests; got < int64(*requests) {
+	if got := snap.ScanRequests.Load(); got < int64(*requests) {
 		log.Fatalf("/metrics scan_requests = %d, expected >= %d", got, *requests)
 	}
 	if *streamMB > 0 {
 		// Cross-check: the large upload must have taken the streaming path,
 		// and the server must have seen every byte of it.
-		if snap.ScansStreamed < 1 {
+		if snap.ScansStreamed.Load() < 1 {
 			log.Fatalf("/metrics scans_streamed = %d after a %d MiB upload, expected >= 1",
-				snap.ScansStreamed, *streamMB)
+				snap.ScansStreamed.Load(), *streamMB)
 		}
-		if want := int64(*streamMB) << 20; snap.StreamedBytes < want {
-			log.Fatalf("/metrics streamed_bytes = %d, expected >= %d", snap.StreamedBytes, want)
+		if want := int64(*streamMB) << 20; snap.StreamedBytes.Load() < want {
+			log.Fatalf("/metrics streamed_bytes = %d, expected >= %d", snap.StreamedBytes.Load(), want)
 		}
 		fmt.Fprintf(os.Stderr, "streamed a %d MiB chunked upload in %v (scans_streamed=%d)\n",
-			*streamMB, streamed.Round(time.Millisecond), snap.ScansStreamed)
+			*streamMB, streamed.Round(time.Millisecond), snap.ScansStreamed.Load())
 		fmt.Printf("BenchmarkServeScanStream 1 %d ns/op %d body-bytes\n",
 			streamed.Nanoseconds(), int64(*streamMB)<<20)
 	}
@@ -280,13 +282,16 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr,
 		"server: %d batches (mean %.2f, max %d, %d coalesced) · %d cache hits · %d attack jobs done\n",
-		snap.Batches, snap.MeanBatch, snap.MaxBatchSize, snap.Coalesced, snap.CacheHits, attacksDone)
+		snap.Batches.Load(), snap.MeanBatch, snap.MaxBatchSize.Load(), snap.Coalesced.Load(), snap.CacheHits.Load(), attacksDone)
 
 	// With -cluster, enforce the shard-affinity contract on this run's
 	// /metrics deltas and carry the ratio into the benchmark line.
 	extra := ""
 	if *cluster {
-		hitRatio := checkCluster(pre, post, int64(*samples), *minHitRatio)
+		hitRatio, err := checkCluster(os.Stderr, pre, post, int64(*samples), *minHitRatio)
+		if err != nil {
+			log.Fatal(err)
+		}
 		extra = fmt.Sprintf(" %.3f hit-ratio %d replicas", hitRatio, len(post.Replicas))
 	}
 	if rp != nil {
@@ -297,23 +302,23 @@ func main() {
 	// custom metrics.
 	fmt.Printf("Benchmark%s %d %.0f ns/op %.1f req/s %d p50-ns %d p99-ns %.0f shed %.0f cache-hits %.2f mean-batch%s\n",
 		*benchName, *requests, nsPerOp, rps, p50.Nanoseconds(), p99.Nanoseconds(),
-		float64(shed.Load()), float64(snap.CacheHits), snap.MeanBatch, extra)
+		float64(shed.Load()), float64(snap.CacheHits.Load()), snap.MeanBatch, extra)
 
 	if *faults {
 		terminal := attacksDone + attacksFailed
 		fmt.Fprintf(os.Stderr,
 			"faults: %d attack jobs terminal (%d done, %d failed) · %d oracle queries, %d retries, %d breaker opens · %d jobs cancelled · registry %d",
 			terminal, attacksDone, attacksFailed,
-			snap.OracleQueries, snap.OracleRetries, snap.OracleBreaks,
-			snap.JobsCancelled, snap.JobsRegistry)
-		if snap.JobsRegistryCap > 0 {
-			fmt.Fprintf(os.Stderr, "/%d", snap.JobsRegistryCap)
+			snap.OracleQueries.Load(), snap.OracleRetries.Load(), snap.OracleBreaks.Load(),
+			snap.JobsCancelled.Load(), snap.JobsRegistry.Load())
+		if c := snap.JobsRegistryCap.Load(); c > 0 {
+			fmt.Fprintf(os.Stderr, "/%d", c)
 		}
 		fmt.Fprintln(os.Stderr)
 		fmt.Printf("BenchmarkServeFaults %d %.0f ns/op %.0f done %.0f failed %.0f oracle-retries %.0f oracle-breaks %.0f jobs-cancelled\n",
 			terminal, nsPerOp,
 			float64(attacksDone), float64(attacksFailed),
-			float64(snap.OracleRetries), float64(snap.OracleBreaks), float64(snap.JobsCancelled))
+			float64(snap.OracleRetries.Load()), float64(snap.OracleBreaks.Load()), float64(snap.JobsCancelled.Load()))
 	}
 }
 
@@ -467,12 +472,12 @@ func (rp *reloadProbe) verify(base string) error {
 	if final != rp.lastVer {
 		return fmt.Errorf("reload probe: /healthz model_version %s, want %s after the last swap", final, rp.lastVer)
 	}
-	m, err := fetchMetrics(base)
-	if err != nil {
+	var m server.MetricsDoc
+	if err := fetchMetrics(base, &m); err != nil {
 		return fmt.Errorf("reload probe: %w", err)
 	}
-	if m.Reloads < int64(rp.issued) {
-		return fmt.Errorf("reload probe: /metrics reloads = %d, expected >= %d", m.Reloads, rp.issued)
+	if m.Reloads.Load() < int64(rp.issued) {
+		return fmt.Errorf("reload probe: /metrics reloads = %d, expected >= %d", m.Reloads.Load(), rp.issued)
 	}
 	return nil
 }
@@ -625,98 +630,24 @@ func authedGet(url, key string) (*http.Response, error) {
 	return http.DefaultClient.Do(req)
 }
 
-// metricsDoc is the subset of the /metrics document the tool reports.
-type metricsDoc struct {
-	ScanRequests int64   `json:"scan_requests"`
-	Batches      int64   `json:"batches"`
-	MeanBatch    float64 `json:"mean_batch_size"`
-	MaxBatchSize int64   `json:"max_batch_size"`
-	Coalesced    int64   `json:"coalesced_batches"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-
-	// Streaming scan path.
-	ScansStreamed int64 `json:"scans_streamed"`
-	StreamedBytes int64 `json:"streamed_bytes"`
-
-	// Hot-reload counters, checked by the -reload probe.
-	Reloads        int64 `json:"reloads"`
-	ReloadFailures int64 `json:"reload_failures"`
-
-	// Lifecycle/fault counters, reported in -faults mode.
-	OracleQueries   int64 `json:"oracle_queries"`
-	OracleRetries   int64 `json:"oracle_retries"`
-	OracleBreaks    int64 `json:"oracle_breaks"`
-	JobsEvicted     int64 `json:"jobs_evicted"`
-	JobsCancelled   int64 `json:"jobs_cancelled"`
-	JobsRegistry    int   `json:"jobs_registry"`
-	JobsRegistryCap int   `json:"jobs_registry_cap"`
-}
-
-func fetchMetrics(base string) (*metricsDoc, error) {
+// fetchMetrics decodes base's /metrics into doc: a server.MetricsDoc from
+// a replica, a gateway.ClusterMetrics from a gateway.
+func fetchMetrics(base string, doc any) error {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	var m metricsDoc
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("decoding /metrics: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(doc); err != nil {
+		return fmt.Errorf("decoding %s/metrics: %w", base, err)
 	}
-	return &m, nil
+	return nil
 }
 
-// addMetrics accumulates the fields the cross-checks read.
-func addMetrics(dst, src *metricsDoc) {
-	dst.ScanRequests += src.ScanRequests
-	dst.Batches += src.Batches
-	dst.Coalesced += src.Coalesced
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.ScansStreamed += src.ScansStreamed
-	dst.StreamedBytes += src.StreamedBytes
-	if src.MaxBatchSize > dst.MaxBatchSize {
-		dst.MaxBatchSize = src.MaxBatchSize
-	}
-	if dst.Batches > 0 {
-		dst.MeanBatch = (dst.MeanBatch*float64(dst.Batches-src.Batches) +
-			src.MeanBatch*float64(src.Batches)) / float64(dst.Batches)
-	}
-	dst.OracleQueries += src.OracleQueries
-	dst.OracleRetries += src.OracleRetries
-	dst.OracleBreaks += src.OracleBreaks
-	dst.JobsEvicted += src.JobsEvicted
-	dst.JobsCancelled += src.JobsCancelled
-	dst.JobsRegistry += src.JobsRegistry
-	dst.JobsRegistryCap += src.JobsRegistryCap
-}
-
-// clusterDoc is the slice of mpass-gateway's /metrics the tool reads: the
-// fleet sum in the same shape as a single replica plus the per-replica
-// snapshots the affinity checks diff.
-type clusterDoc struct {
-	Cluster metricsDoc `json:"cluster"`
-	Gateway struct {
-		ScansRouted int64 `json:"scans_routed"`
-		ScanRetries int64 `json:"scan_retries"`
-		ScansFailed int64 `json:"scans_failed"`
-	} `json:"gateway"`
-	Replicas []struct {
-		Name    string      `json:"name"`
-		Healthy bool        `json:"healthy"`
-		Metrics *metricsDoc `json:"metrics"`
-	} `json:"replicas"`
-}
-
-func fetchClusterMetrics(base string) (*clusterDoc, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
+func fetchClusterMetrics(base string) (*gateway.ClusterMetrics, error) {
+	var doc gateway.ClusterMetrics
+	if err := fetchMetrics(base, &doc); err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	var doc clusterDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("decoding cluster /metrics: %w", err)
 	}
 	if len(doc.Replicas) == 0 {
 		return nil, fmt.Errorf("cluster /metrics lists no replicas — is the target really an mpass-gateway?")
@@ -729,7 +660,7 @@ func fetchClusterMetrics(base string) (*clusterDoc, error) {
 // on every replica — and returns the settled snapshot. The fingerprint
 // deliberately covers only burst-driven counters: probe-driven ones (job
 // polls, health checks) tick at rest and would never settle.
-func quiesceCluster(base string) (*clusterDoc, error) {
+func quiesceCluster(base string) (*gateway.ClusterMetrics, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	prev := ""
 	for {
@@ -750,23 +681,24 @@ func quiesceCluster(base string) (*clusterDoc, error) {
 }
 
 // settleKey fingerprints the per-replica counters the affinity checks read.
-func settleKey(doc *clusterDoc) string {
+func settleKey(doc *gateway.ClusterMetrics) string {
 	var b strings.Builder
 	for _, r := range doc.Replicas {
 		if r.Metrics == nil {
 			fmt.Fprintf(&b, "%s:down;", r.Name)
 			continue
 		}
-		fmt.Fprintf(&b, "%s:%d,%d,%d,%d,%d;", r.Name,
-			r.Metrics.ScanRequests, r.Metrics.CacheHits, r.Metrics.CacheMisses,
-			r.Metrics.ScansStreamed, r.Metrics.Batches)
+		m := r.Metrics
+		fmt.Fprintf(&b, "%s:%d,%d,%d,%d,%d;", r.Name, m.ScanRequests.Load(), m.CacheHits.Load(),
+			m.CacheMisses.Load(), m.ScansStreamed.Load(), m.Batches.Load())
 	}
 	return b.String()
 }
 
-// checkCluster enforces the shard-affinity contract on this run's deltas
-// and returns the fleet-wide cache-hit ratio. Two properties must hold
-// under consistent-hash routing of a repeating sample pool:
+// checkCluster enforces the shard-affinity contract on this run's deltas,
+// logging each replica's split to w, and returns the fleet-wide cache-hit
+// ratio. Two properties must hold under consistent-hash routing of a
+// repeating sample pool:
 //
 //   - per replica, hits/(hits+misses) >= minHit: repeats of a sample keep
 //     landing on the shard that already scored it;
@@ -776,11 +708,11 @@ func settleKey(doc *clusterDoc) string {
 //
 // A broken ring degrades both: keys wander, every replica cold-misses the
 // whole pool, and the ratio collapses toward 1/replicas of the ideal.
-func checkCluster(pre, post *clusterDoc, samples int64, minHit float64) float64 {
+func checkCluster(w io.Writer, pre, post *gateway.ClusterMetrics, samples int64, minHit float64) (float64, error) {
 	preHits := map[string][2]int64{}
 	for _, r := range pre.Replicas {
 		if r.Metrics != nil {
-			preHits[r.Name] = [2]int64{r.Metrics.CacheHits, r.Metrics.CacheMisses}
+			preHits[r.Name] = [2]int64{r.Metrics.CacheHits.Load(), r.Metrics.CacheMisses.Load()}
 		}
 	}
 	var fleetHits, fleetMisses int64
@@ -790,35 +722,35 @@ func checkCluster(pre, post *clusterDoc, samples int64, minHit float64) float64 
 			// unreachable — that is the kill drill. A replica claimed
 			// healthy but not answering /metrics is a real failure.
 			if r.Healthy {
-				log.Fatalf("cluster check: healthy replica %s unreachable for /metrics", r.Name)
+				return 0, fmt.Errorf("cluster check: healthy replica %s unreachable for /metrics", r.Name)
 			}
-			fmt.Fprintf(os.Stderr, "  replica %s: down, excluded from affinity check\n", r.Name)
+			fmt.Fprintf(w, "  replica %s: down, excluded from affinity check\n", r.Name)
 			continue
 		}
 		base := preHits[r.Name]
-		hits := r.Metrics.CacheHits - base[0]
-		misses := r.Metrics.CacheMisses - base[1]
+		hits := r.Metrics.CacheHits.Load() - base[0]
+		misses := r.Metrics.CacheMisses.Load() - base[1]
 		fleetHits += hits
 		fleetMisses += misses
 		if hits+misses == 0 {
 			continue // owned no sampled keys this run
 		}
 		ratio := float64(hits) / float64(hits+misses)
-		fmt.Fprintf(os.Stderr, "  replica %s: %d hits / %d misses · hit ratio %.3f\n",
+		fmt.Fprintf(w, "  replica %s: %d hits / %d misses · hit ratio %.3f\n",
 			r.Name, hits, misses, ratio)
 		if ratio < minHit {
-			log.Fatalf("cluster check: replica %s cache-hit ratio %.3f < %.3f — shard affinity broken",
+			return 0, fmt.Errorf("cluster check: replica %s cache-hit ratio %.3f < %.3f — shard affinity broken",
 				r.Name, ratio, minHit)
 		}
 	}
 	if fleetMisses > 2*samples {
-		log.Fatalf("cluster check: %d fleet-wide cache misses for %d distinct samples — keys are wandering across shards",
+		return 0, fmt.Errorf("cluster check: %d fleet-wide cache misses for %d distinct samples — keys are wandering across shards",
 			fleetMisses, samples)
 	}
 	if fleetHits+fleetMisses == 0 {
-		log.Fatal("cluster check: no cache traffic recorded during the run")
+		return 0, fmt.Errorf("cluster check: no cache traffic recorded during the run")
 	}
-	return float64(fleetHits) / float64(fleetHits+fleetMisses)
+	return float64(fleetHits) / float64(fleetHits+fleetMisses), nil
 }
 
 // quantile reads the q-th quantile from an ascending latency slice.

@@ -226,25 +226,23 @@ func TestGatewayJobNamespace(t *testing.T) {
 		t.Fatalf("poll path %q does not match id %q", acc.Poll, acc.ID)
 	}
 
-	state := pollJob(t, f.gwTS.URL+acc.Poll, 10*time.Second)
+	state := pollJob(t, f.gwTS.URL+acc.Poll, "", 10*time.Second)
 	if state != "done" {
 		t.Fatalf("job ended %q, want done", state)
 	}
 }
 
-// pollJob polls a gateway job URL until a terminal state or the deadline.
-func pollJob(t *testing.T, url string, wait time.Duration) string {
+// pollJob polls a job URL, presenting key when non-empty, until a
+// terminal state or the deadline.
+func pollJob(t *testing.T, url, key string, wait time.Duration) string {
 	t.Helper()
 	deadline := time.Now().Add(wait)
 	for {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatalf("GET %s: %v", url, err)
-		}
+		resp := doAuth(t, http.MethodGet, url, key, false, nil)
 		var v struct {
 			State string `json:"state"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&v)
+		err := json.NewDecoder(resp.Body).Decode(&v)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("decoding job view: %v", err)
@@ -308,7 +306,7 @@ func TestGatewayReplicaKillDrill(t *testing.T) {
 	}
 	json.NewDecoder(resp.Body).Decode(&acc)
 	resp.Body.Close()
-	if pollJob(t, f.gwTS.URL+acc.Poll, 10*time.Second) != "done" {
+	if pollJob(t, f.gwTS.URL+acc.Poll, "", 10*time.Second) != "done" {
 		t.Fatal("pre-kill job did not complete")
 	}
 	jobReplica, _, _ := strings.Cut(acc.ID, "/")
@@ -388,7 +386,7 @@ func TestGatewayReplicaKillDrill(t *testing.T) {
 
 	// Completed work on survivors is not lost; the dead replica's jobs
 	// fail loudly, never silently.
-	if state := pollJob(t, f.gwTS.URL+acc.Poll, 5*time.Second); state != "done" {
+	if state := pollJob(t, f.gwTS.URL+acc.Poll, "", 5*time.Second); state != "done" {
 		t.Fatalf("completed job lost after re-shard: state %q", state)
 	}
 	lost, err := http.Get(f.gwTS.URL + "/v1/jobs/" + f.names[victim] + "/job-000001")
@@ -424,8 +422,8 @@ func TestGatewayMetricsAggregation(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Cluster.ScanRequests != nSamples {
-		t.Fatalf("cluster scan_requests = %d, want %d", doc.Cluster.ScanRequests, nSamples)
+	if got := doc.Cluster.ScanRequests.Load(); got != nSamples {
+		t.Fatalf("cluster scan_requests = %d, want %d", got, nSamples)
 	}
 	if len(doc.Replicas) != 3 {
 		t.Fatalf("replicas = %d entries, want 3", len(doc.Replicas))
@@ -435,21 +433,21 @@ func TestGatewayMetricsAggregation(t *testing.T) {
 		if r.Metrics == nil {
 			t.Fatalf("replica %s: no metrics snapshot (%s)", r.Name, r.Error)
 		}
-		sum += r.Metrics.ScanRequests
+		sum += r.Metrics.ScanRequests.Load()
 	}
-	if sum != doc.Cluster.ScanRequests {
-		t.Fatalf("cluster sum %d != Σ replicas %d", doc.Cluster.ScanRequests, sum)
+	if sum != doc.Cluster.ScanRequests.Load() {
+		t.Fatalf("cluster sum %d != Σ replicas %d", doc.Cluster.ScanRequests.Load(), sum)
 	}
-	if doc.Gateway.ScansRouted != nSamples {
-		t.Fatalf("gateway scans_routed = %d, want %d", doc.Gateway.ScansRouted, nSamples)
+	if got := doc.Gateway.ScansRouted.Load(); got != nSamples {
+		t.Fatalf("gateway scans_routed = %d, want %d", got, nSamples)
 	}
-	if doc.Gateway.ReplicasHealthy != 3 || doc.Gateway.ReplicasTotal != 3 {
+	if doc.Gateway.ReplicasHealthy.Load() != 3 || doc.Gateway.ReplicasTotal.Load() != 3 {
 		t.Fatalf("gateway gauges = %d/%d, want 3/3",
-			doc.Gateway.ReplicasHealthy, doc.Gateway.ReplicasTotal)
+			doc.Gateway.ReplicasHealthy.Load(), doc.Gateway.ReplicasTotal.Load())
 	}
 	// The merged histogram carries every observed scan.
-	if doc.Cluster.ScanLatency.Count != nSamples {
-		t.Fatalf("merged latency count = %d, want %d", doc.Cluster.ScanLatency.Count, nSamples)
+	if got := doc.Cluster.ScanLatency.Count(); got != nSamples {
+		t.Fatalf("merged latency count = %d, want %d", got, nSamples)
 	}
 }
 
@@ -576,6 +574,12 @@ func TestGatewayClusterBackpressure(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("probed cluster backlog = %d, want 150", scanQ)
 		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The estimator divides by uptime: within 1/151 s of start, one routed
+	// scan still reads as a drain rate fast enough to clear the backlog in
+	// a second. Let the gateway age past that before the shed.
+	for time.Since(gw.started) < 100*time.Millisecond {
 		time.Sleep(10 * time.Millisecond)
 	}
 

@@ -5,178 +5,62 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"mpass/internal/parallel"
 	"mpass/internal/server"
-	"mpass/internal/tenant"
+	"mpass/internal/telemetry"
 )
 
 // Metrics is the gateway's own counter set — routing, retry, re-shard, and
-// backpressure events. Replica-side counters are not mirrored here; the
-// /metrics handler fetches and merges them live so the cluster view is
-// always the fleet's truth, not a gateway-side shadow.
+// backpressure events — and each field's json tag is its key in the
+// /metrics document's "gateway" section. Replica-side counters are not
+// mirrored here; the /metrics handler fetches and merges them live so the
+// cluster view is always the fleet's truth, not a gateway-side shadow.
 type Metrics struct {
-	ScansRouted  atomic.Int64 // scan requests forwarded to a replica
-	ScanRetries  atomic.Int64 // scans retried once after a replica loss
-	ScansFailed  atomic.Int64 // scans failed after the retry (502/504 to client)
-	ScansShed    atomic.Int64 // replica 429s passed through with cluster Retry-After
-	ScansSpooled atomic.Int64 // uploads too large to buffer, spooled to disk while hashing
-	SpooledBytes atomic.Int64
+	ScansRouted  telemetry.Counter `json:"scans_routed"`  // scan requests forwarded to a replica
+	ScanRetries  telemetry.Counter `json:"scan_retries"`  // scans retried once after a replica loss
+	ScansFailed  telemetry.Counter `json:"scans_failed"`  // scans failed after the retry (502/504 to client)
+	ScansShed    telemetry.Counter `json:"scans_shed"`    // replica 429s passed through with cluster Retry-After
+	ScansSpooled telemetry.Counter `json:"scans_spooled"` // uploads too large to buffer, spooled to disk while hashing
+	SpooledBytes telemetry.Counter `json:"spooled_bytes"`
 
-	AttacksRouted atomic.Int64 // attack submits forwarded
-	AttackRetries atomic.Int64 // attack submits retried once after a replica loss
-	AttacksFailed atomic.Int64
-	AttacksShed   atomic.Int64 // replica 429s passed through
+	AttacksRouted telemetry.Counter `json:"attacks_routed"` // attack submits forwarded
+	AttackRetries telemetry.Counter `json:"attack_retries"` // attack submits retried once after a replica loss
+	AttacksFailed telemetry.Counter `json:"attacks_failed"`
+	AttacksShed   telemetry.Counter `json:"attacks_shed"` // replica 429s passed through
 
-	JobPolls  atomic.Int64 // GET /v1/jobs/{replica}/{id} forwards
-	JobErrors atomic.Int64 // polls that could not reach the owning replica
+	JobPolls  telemetry.Counter `json:"job_polls"`  // GET /v1/jobs/{replica}/{id} forwards
+	JobErrors telemetry.Counter `json:"job_errors"` // polls that could not reach the owning replica
 
-	ProbeFailures     atomic.Int64
-	RingRebuilds      atomic.Int64
-	ReplicaDownEvents atomic.Int64
-	ReplicaUpEvents   atomic.Int64
-	ReplicasHealthy   atomic.Int64 // gauge
-	ReplicasTotal     atomic.Int64 // gauge
-}
-
-// GatewaySnapshot is the JSON form of Metrics inside the /metrics document.
-type GatewaySnapshot struct {
-	ScansRouted  int64 `json:"scans_routed"`
-	ScanRetries  int64 `json:"scan_retries"`
-	ScansFailed  int64 `json:"scans_failed"`
-	ScansShed    int64 `json:"scans_shed"`
-	ScansSpooled int64 `json:"scans_spooled"`
-	SpooledBytes int64 `json:"spooled_bytes"`
-
-	AttacksRouted int64 `json:"attacks_routed"`
-	AttackRetries int64 `json:"attack_retries"`
-	AttacksFailed int64 `json:"attacks_failed"`
-	AttacksShed   int64 `json:"attacks_shed"`
-
-	JobPolls  int64 `json:"job_polls"`
-	JobErrors int64 `json:"job_errors"`
-
-	ProbeFailures     int64 `json:"probe_failures"`
-	RingRebuilds      int64 `json:"ring_rebuilds"`
-	ReplicaDownEvents int64 `json:"replica_down_events"`
-	ReplicaUpEvents   int64 `json:"replica_up_events"`
-	ReplicasHealthy   int64 `json:"replicas_healthy"`
-	ReplicasTotal     int64 `json:"replicas_total"`
-}
-
-// Snapshot samples every gateway counter.
-func (m *Metrics) Snapshot() GatewaySnapshot {
-	return GatewaySnapshot{
-		ScansRouted:       m.ScansRouted.Load(),
-		ScanRetries:       m.ScanRetries.Load(),
-		ScansFailed:       m.ScansFailed.Load(),
-		ScansShed:         m.ScansShed.Load(),
-		ScansSpooled:      m.ScansSpooled.Load(),
-		SpooledBytes:      m.SpooledBytes.Load(),
-		AttacksRouted:     m.AttacksRouted.Load(),
-		AttackRetries:     m.AttackRetries.Load(),
-		AttacksFailed:     m.AttacksFailed.Load(),
-		AttacksShed:       m.AttacksShed.Load(),
-		JobPolls:          m.JobPolls.Load(),
-		JobErrors:         m.JobErrors.Load(),
-		ProbeFailures:     m.ProbeFailures.Load(),
-		RingRebuilds:      m.RingRebuilds.Load(),
-		ReplicaDownEvents: m.ReplicaDownEvents.Load(),
-		ReplicaUpEvents:   m.ReplicaUpEvents.Load(),
-		ReplicasHealthy:   m.ReplicasHealthy.Load(),
-		ReplicasTotal:     m.ReplicasTotal.Load(),
-	}
+	ProbeFailures     telemetry.Counter `json:"probe_failures"`
+	RingRebuilds      telemetry.Counter `json:"ring_rebuilds"`
+	ReplicaDownEvents telemetry.Counter `json:"replica_down_events"`
+	ReplicaUpEvents   telemetry.Counter `json:"replica_up_events"`
+	ReplicasHealthy   telemetry.Counter `json:"replicas_healthy"` // gauge
+	ReplicasTotal     telemetry.Counter `json:"replicas_total"`   // gauge
 }
 
 // ReplicaMetrics is one fleet member's slice of the /metrics document.
 type ReplicaMetrics struct {
-	Name    string                  `json:"name"`
-	Healthy bool                    `json:"healthy"`
-	Error   string                  `json:"error,omitempty"`
-	Metrics *server.MetricsSnapshot `json:"metrics,omitempty"`
+	Name    string             `json:"name"`
+	Healthy bool               `json:"healthy"`
+	Error   string             `json:"error,omitempty"`
+	Metrics *server.MetricsDoc `json:"metrics,omitempty"`
 }
 
-// ClusterMetrics is the gateway's GET /metrics response: the fleet summed
-// into one MetricsSnapshot (same shape as a single replica's /metrics, so
+// ClusterMetrics is the gateway's GET /metrics response: the fleet merged
+// into one MetricsDoc (same shape as a single replica's /metrics, so
 // existing tooling reads either), the gateway's own counters, and the
-// per-replica snapshots the sum was built from.
+// per-replica documents the merge was built from.
 type ClusterMetrics struct {
-	Cluster  server.MetricsSnapshot `json:"cluster"`
-	Gateway  GatewaySnapshot        `json:"gateway"`
-	Replicas []ReplicaMetrics       `json:"replicas"`
+	Cluster  server.MetricsDoc `json:"cluster"`
+	Gateway  Metrics           `json:"gateway"`
+	Replicas []ReplicaMetrics  `json:"replicas"`
 }
 
-// mergeSnapshots sums replica snapshots field by field. Counters add;
-// MaxBatchSize takes the max; MeanBatch is recomputed from the summed
-// numerator/denominator; histograms merge bucket-wise (every replica uses
-// the same fixed bounds) with the mean re-derived from the merged counts.
-func mergeSnapshots(snaps []*server.MetricsSnapshot) server.MetricsSnapshot {
-	var out server.MetricsSnapshot
-	var meanNumer float64 // Σ count_i · mean_i, for the merged latency mean
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		out.ScanRequests += s.ScanRequests
-		out.ScanRejected += s.ScanRejected
-		out.ScanErrors += s.ScanErrors
-		out.AttackRequests += s.AttackRequests
-		out.AttackRejected += s.AttackRejected
-		out.CacheHits += s.CacheHits
-		out.CacheMisses += s.CacheMisses
-		out.ScansStreamed += s.ScansStreamed
-		out.StreamedBytes += s.StreamedBytes
-		out.Batches += s.Batches
-		out.BatchedRaws += s.BatchedRaws
-		if s.MaxBatchSize > out.MaxBatchSize {
-			out.MaxBatchSize = s.MaxBatchSize
-		}
-		out.Coalesced += s.Coalesced
-		out.OracleQueries += s.OracleQueries
-		out.OracleRetries += s.OracleRetries
-		out.OracleBreaks += s.OracleBreaks
-		out.JobsQueued += s.JobsQueued
-		out.JobsPending += s.JobsPending
-		out.JobsDone += s.JobsDone
-		out.JobsEvicted += s.JobsEvicted
-		out.JobsCancelled += s.JobsCancelled
-		out.JobsRegistry += s.JobsRegistry
-		out.JobsRegistryCap += s.JobsRegistryCap
-		out.TenantUnauthenticated += s.TenantUnauthenticated
-		out.TenantRejected += s.TenantRejected
-		out.TenantReloads += s.TenantReloads
-		if len(s.Tenants) > 0 && out.Tenants == nil {
-			out.Tenants = make(map[string]tenant.Snapshot)
-		}
-		for name, ts := range s.Tenants {
-			out.Tenants[name] = tenant.Merge(out.Tenants[name], ts)
-		}
-
-		h := s.ScanLatency
-		if len(out.ScanLatency.BucketsMs) == 0 {
-			out.ScanLatency.BucketsMs = append([]float64(nil), h.BucketsMs...)
-			out.ScanLatency.Counts = append([]int64(nil), h.Counts...)
-		} else if len(h.Counts) == len(out.ScanLatency.Counts) {
-			for i, c := range h.Counts {
-				out.ScanLatency.Counts[i] += c
-			}
-		}
-		out.ScanLatency.Count += h.Count
-		meanNumer += float64(h.Count) * h.MeanMs
-	}
-	if out.Batches > 0 {
-		out.MeanBatch = float64(out.BatchedRaws) / float64(out.Batches)
-	}
-	if out.ScanLatency.Count > 0 {
-		out.ScanLatency.MeanMs = meanNumer / float64(out.ScanLatency.Count)
-	}
-	return out
-}
-
-// fetchReplicaMetrics pulls one replica's /metrics snapshot.
-func (g *Gateway) fetchReplicaMetrics(ctx context.Context, r *replica) (*server.MetricsSnapshot, error) {
+// fetchReplicaMetrics pulls one replica's /metrics document.
+func (g *Gateway) fetchReplicaMetrics(ctx context.Context, r *replica) (*server.MetricsDoc, error) {
 	mctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(mctx, http.MethodGet, r.base+"/metrics", nil)
@@ -191,37 +75,40 @@ func (g *Gateway) fetchReplicaMetrics(ctx context.Context, r *replica) (*server.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("metrics status %d", resp.StatusCode)
 	}
-	var snap server.MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	var doc server.MetricsDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return nil, err
 	}
-	return &snap, nil
+	return &doc, nil
 }
 
 // handleMetrics aggregates /metrics across the fleet: every replica —
 // including ones marked down, which may still answer — is polled
-// concurrently, the reachable snapshots are summed, and the response
-// carries cluster totals, gateway counters, and the per-replica slices.
+// concurrently, the reachable documents are merged, and the response
+// carries cluster totals, gateway counters, and the per-replica documents.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n := len(g.replicas)
-	docs := make([]ReplicaMetrics, n)
-	snaps := make([]*server.MetricsSnapshot, n)
+	doc := &ClusterMetrics{
+		Cluster:  server.MetricsDoc{Metrics: &server.Metrics{}},
+		Replicas: make([]ReplicaMetrics, n),
+	}
 	parallel.ForEach(n, n, func(i int) {
 		rep := g.replicas[i]
-		docs[i] = ReplicaMetrics{Name: rep.name, Healthy: rep.healthy.Load()}
-		snap, err := g.fetchReplicaMetrics(r.Context(), rep)
+		doc.Replicas[i] = ReplicaMetrics{Name: rep.name, Healthy: rep.healthy.Load()}
+		m, err := g.fetchReplicaMetrics(r.Context(), rep)
 		if err != nil {
-			docs[i].Error = err.Error()
+			doc.Replicas[i].Error = err.Error()
 			return
 		}
-		docs[i].Metrics = snap
-		snaps[i] = snap
+		doc.Replicas[i].Metrics = m
 	})
-	writeJSON(w, http.StatusOK, ClusterMetrics{
-		Cluster:  mergeSnapshots(snaps),
-		Gateway:  g.metrics.Snapshot(),
-		Replicas: docs,
-	})
+	for _, rm := range doc.Replicas {
+		if rm.Metrics != nil {
+			doc.Cluster.Merge(rm.Metrics)
+		}
+	}
+	telemetry.Merge(&doc.Gateway, &g.metrics)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // ClusterHealth is the gateway's GET /healthz response: per-replica state

@@ -21,6 +21,8 @@ import (
 	"os"
 	"strconv"
 	"time"
+
+	"mpass/internal/server"
 )
 
 // payload is one upload, fully received and hashed, replayable per attempt.
@@ -161,22 +163,9 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 
 // retryAfter is the cluster-level form of the replica estimator: summed
 // backlog across healthy replicas divided by the observed cluster
-// completion rate, clamped to [1, 60] seconds — same shape, fleet-wide
-// inputs.
+// completion rate — the same pure function, fleet-wide inputs.
 func (g *Gateway) retryAfter(backlog int, completed int64) string {
-	up := time.Since(g.started).Seconds()
-	if up <= 0 || completed <= 0 {
-		return "1"
-	}
-	rate := float64(completed) / up
-	secs := int(math.Ceil(float64(backlog+1) / rate))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return strconv.Itoa(secs)
+	return strconv.Itoa(server.RetryAfterSecs(backlog, completed, time.Since(g.started).Seconds()))
 }
 
 // clusterBacklogs sums the probed queue depths across healthy replicas.

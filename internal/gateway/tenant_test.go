@@ -230,16 +230,16 @@ func TestGatewayTenantFleetMetrics(t *testing.T) {
 
 	acme, ok := doc.Cluster.Tenants["acme"]
 	if !ok {
-		t.Fatalf("cluster tenants map lacks acme: %+v", doc.Cluster.Tenants)
+		t.Fatalf("cluster tenants map lacks acme: %v", doc.Cluster.Tenants)
 	}
-	if acme.Scans != acmeScans || acme.Admitted != acmeScans {
-		t.Fatalf("merged acme scans/admitted = %d/%d, want %d", acme.Scans, acme.Admitted, acmeScans)
+	if acme.Scans.Load() != acmeScans || acme.Admitted.Load() != acmeScans {
+		t.Fatalf("merged acme scans/admitted = %d/%d, want %d", acme.Scans.Load(), acme.Admitted.Load(), acmeScans)
 	}
-	if acme.ScanLatency.Count != acmeScans {
-		t.Fatalf("merged acme latency count = %d, want %d", acme.ScanLatency.Count, acmeScans)
+	if acme.ScanLatency.Count() != acmeScans {
+		t.Fatalf("merged acme latency count = %d, want %d", acme.ScanLatency.Count(), acmeScans)
 	}
-	if beta := doc.Cluster.Tenants["beta"]; beta.Scans != betaScans {
-		t.Fatalf("merged beta scans = %d, want %d", beta.Scans, betaScans)
+	if beta := doc.Cluster.Tenants["beta"]; beta.Scans.Load() != betaScans {
+		t.Fatalf("merged beta scans = %d, want %d", beta.Scans.Load(), betaScans)
 	}
 
 	// The distinct bodies spread over the ring: more than one replica must
@@ -247,7 +247,7 @@ func TestGatewayTenantFleetMetrics(t *testing.T) {
 	// rather than a single replica's passthrough.
 	contributing := 0
 	for _, rm := range doc.Replicas {
-		if rm.Metrics != nil && rm.Metrics.Tenants["acme"].Scans > 0 {
+		if rm.Metrics != nil && rm.Metrics.Tenants["acme"].Scans.Load() > 0 {
 			contributing++
 		}
 	}

@@ -321,20 +321,28 @@ func (n *ConvNet) PredictBatch(raws [][]byte) []float64 {
 	return scores
 }
 
-// backward accumulates parameter gradients for one example with label y.
-// When inGrad is non-nil (length SeqLen*EmbedDim) it also accumulates the
-// gradient of the loss with respect to the embedded input. sc provides the
-// reusable gather and delta buffers; it may be the scratch that produced c
-// or any other scratch of this network.
+// backward runs one example with label y back through the network. With a
+// nil inGrad it accumulates the parameter gradients (training); otherwise
+// it accumulates only the gradient of the loss with respect to the
+// embedded input into inGrad (length SeqLen*EmbedDim) and writes nothing
+// but inGrad and sc, so concurrent input-gradient calls on one network
+// never share a buffer. sc provides the reusable gather and delta
+// buffers; it may be the scratch that produced c or any other scratch of
+// this network.
 func (n *ConvNet) backward(c *cache, y float64, inGrad tensor.Vec, sc *scratch) {
 	cfg := n.Cfg
+	train := inGrad == nil
 	delta := c.score - y // dLoss/dlogit for BCE + sigmoid
 
 	dPooled := sc.dPooled
 	dPooled.Zero()
-	if n.HidW != nil {
+	if train {
 		n.gOutB[0] += delta
-		tensor.Axpy(delta, c.hidden, n.gOutW)
+	}
+	if n.HidW != nil {
+		if train {
+			tensor.Axpy(delta, c.hidden, n.gOutW)
+		}
 		dHid := sc.dHid
 		for i := range dHid {
 			if c.hidden[i] > 0 {
@@ -347,13 +355,16 @@ func (n *ConvNet) backward(c *cache, y float64, inGrad tensor.Vec, sc *scratch) 
 			if dHid[i] == 0 {
 				continue
 			}
-			tensor.Axpy(dHid[i], c.pooled, n.gHidW.Row(i))
-			n.gHidB[i] += dHid[i]
+			if train {
+				tensor.Axpy(dHid[i], c.pooled, n.gHidW.Row(i))
+				n.gHidB[i] += dHid[i]
+			}
 			tensor.Axpy(dHid[i], n.HidW.Row(i), dPooled)
 		}
 	} else {
-		n.gOutB[0] += delta
-		tensor.Axpy(delta, c.pooled, n.gOutW)
+		if train {
+			tensor.Axpy(delta, c.pooled, n.gOutW)
+		}
 		tensor.Axpy(delta, n.OutW, dPooled)
 	}
 
@@ -363,29 +374,28 @@ func (n *ConvNet) backward(c *cache, y float64, inGrad tensor.Vec, sc *scratch) 
 		if dPooled[f] == 0 {
 			continue
 		}
-		t := c.argmax[f]
-		pos := t * cfg.Stride
-		n.gather(c.x, pos, w)
+		pos := c.argmax[f] * cfg.Stride
 		sg := tensor.Sigmoid(c.gVal[f])
 		dc := dPooled[f] * sg
 		dg := dPooled[f] * c.cVal[f] * sg * (1 - sg)
+		cw, gw := n.ConvW.Row(f), n.GateW.Row(f)
+		if !train {
+			// Gradient w.r.t. the embedded window: dc*ConvW + dg*GateW.
+			for k := range cw {
+				inGrad[pos*d+k] += dc*cw[k] + dg*gw[k]
+			}
+			continue
+		}
+		n.gather(c.x, pos, w)
 		tensor.Axpy(dc, w, n.gConvW.Row(f))
 		tensor.Axpy(dg, w, n.gGateW.Row(f))
 		n.gConvB[f] += dc
 		n.gGateB[f] += dg
-		// Gradient w.r.t. the embedded window: dc*ConvW + dg*GateW, routed
-		// both into the embedding table (training) and, when requested,
-		// into the dense input-gradient buffer (attack).
-		cw, gw := n.ConvW.Row(f), n.GateW.Row(f)
+		// The same window gradient, routed into the embedding table.
 		for j := 0; j < cfg.Kernel; j++ {
-			b := int(c.x[pos+j])
-			erow := n.gEmbed.Row(b)
+			erow := n.gEmbed.Row(int(c.x[pos+j]))
 			for k := 0; k < d; k++ {
-				g := dc*cw[j*d+k] + dg*gw[j*d+k]
-				erow[k] += g
-				if inGrad != nil {
-					inGrad[(pos+j)*d+k] += g
-				}
+				erow[k] += dc*cw[j*d+k] + dg*gw[j*d+k]
 			}
 		}
 	}
@@ -482,11 +492,7 @@ func (n *ConvNet) InputGradient(raw []byte, target float64) *InputGrad {
 	ig := n.getInputGrad()
 	ig.Loss = tensor.BCE(c.score, target)
 	ig.Score = c.score
-	// backward also accumulates into parameter grad buffers; zero them
-	// first and discard afterwards so training state is unaffected.
-	n.zeroGrads()
 	n.backward(c, target, ig.Grad, sc)
-	n.zeroGrads()
 	n.putScratch(sc)
 	return ig
 }

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -81,5 +83,57 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	if out := n.PredictBatch(nil); len(out) != 0 {
 		t.Errorf("PredictBatch(nil) returned %d scores", len(out))
+	}
+}
+
+// TestInputGradientConcurrent: attack workers share one network, so
+// InputGradient must be safe from several goroutines at once — it writes
+// only its own result and scratch, never the shared parameter-gradient
+// buffers — and every concurrent result must equal the serial one bit for
+// bit. `make race` runs it under the race detector.
+func TestInputGradientConcurrent(t *testing.T) {
+	configs := []ConvConfig{
+		tinyConfig(),
+		{SeqLen: 128, EmbedDim: 4, Kernel: 16, Stride: 8, Filters: 5, Hidden: 6, NonNeg: true, Seed: 11},
+	}
+	for ci, cfg := range configs {
+		n, err := NewConvNet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(70 + ci)))
+		raws := make([][]byte, 8)
+		want := make([]*InputGrad, len(raws))
+		for i := range raws {
+			raws[i] = make([]byte, 32+rng.Intn(cfg.SeqLen))
+			rng.Read(raws[i])
+			want[i] = n.InputGradient(raws[i], 0)
+		}
+
+		const workers = 4
+		var wg sync.WaitGroup
+		errs := make(chan string, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for rep := 0; rep < 5; rep++ {
+					for k := range raws {
+						i := (k + w) % len(raws)
+						ig := n.InputGradient(raws[i], 0)
+						if !ig.Grad.Equal(want[i].Grad) || ig.Loss != want[i].Loss || ig.Score != want[i].Score {
+							errs <- fmt.Sprintf("cfg %d worker %d sample %d: concurrent result differs from serial", ci, w, i)
+							return
+						}
+						ig.Release()
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
 	}
 }

@@ -1,54 +1,52 @@
 package server
 
 import (
-	"sync/atomic"
-	"time"
-
+	"mpass/internal/telemetry"
 	"mpass/internal/tenant"
 )
 
-// Metrics is the daemon's expvar-style counter set: plain atomics sampled
-// into a JSON snapshot by the /metrics handler. Unlike the stdlib expvar
-// package there is no process-global registry, so every Server instance —
-// including the many spun up by tests — owns an independent set.
+// Metrics is the daemon's counter set, and each field's json tag is its
+// /metrics key. Unlike the stdlib expvar package there is no
+// process-global registry, so every Server instance — including the many
+// spun up by tests — owns an independent set.
 type Metrics struct {
 	// Request outcomes.
-	ScanRequests   atomic.Int64 // POST /v1/scan accepted for scoring
-	ScanRejected   atomic.Int64 // scans shed with 429 (batcher queue full)
-	AttackRequests atomic.Int64 // POST /v1/attack jobs admitted
-	AttackRejected atomic.Int64 // attacks shed with 429 (job queue full)
-	ScanErrors     atomic.Int64 // scans failing for any other reason
+	ScanRequests   telemetry.Counter `json:"scan_requests"`   // POST /v1/scan accepted for scoring
+	ScanRejected   telemetry.Counter `json:"scan_rejected"`   // scans shed with 429 (batcher queue full)
+	ScanErrors     telemetry.Counter `json:"scan_errors"`     // scans failing for any other reason
+	AttackRequests telemetry.Counter `json:"attack_requests"` // POST /v1/attack jobs admitted
+	AttackRejected telemetry.Counter `json:"attack_rejected"` // attacks shed with 429 (job queue full)
 
 	// Scoring pipeline.
-	CacheHits     atomic.Int64
-	CacheMisses   atomic.Int64
-	ScansStreamed atomic.Int64 // scans served by the O(chunk) streaming path
-	StreamedBytes atomic.Int64 // total bytes fed through streaming scans
-	Batches       atomic.Int64 // dispatcher flushes
-	BatchedRaws   atomic.Int64 // samples scored across all flushes
-	MaxBatchSize  atomic.Int64 // largest coalesced batch observed
-	Coalesced     atomic.Int64 // flushes with more than one request
+	CacheHits     telemetry.Counter `json:"cache_hits"`
+	CacheMisses   telemetry.Counter `json:"cache_misses"`
+	ScansStreamed telemetry.Counter `json:"scans_streamed"` // scans served by the O(chunk) streaming path
+	StreamedBytes telemetry.Counter `json:"streamed_bytes"` // total bytes fed through streaming scans
+	Batches       telemetry.Counter `json:"batches"`        // dispatcher flushes
+	BatchedRaws   telemetry.Counter `json:"batched_raws"`   // samples scored across all flushes
+	MaxBatchSize  telemetry.Max     `json:"max_batch_size"` // largest coalesced batch observed
+	Coalesced     telemetry.Counter `json:"coalesced_batches"`
 
 	// Oracle traffic from resident attack jobs.
-	OracleQueries atomic.Int64
-	OracleRetries atomic.Int64 // backed-off re-attempts after transient oracle errors
-	OracleBreaks  atomic.Int64 // circuit-breaker openings (oracle declared unavailable)
+	OracleQueries telemetry.Counter `json:"oracle_queries"`
+	OracleRetries telemetry.Counter `json:"oracle_retries"` // backed-off re-attempts after transient oracle errors
+	OracleBreaks  telemetry.Counter `json:"oracle_breaks"`  // circuit-breaker openings (oracle declared unavailable)
 
 	// Job lifecycle robustness.
-	JobsEvicted   atomic.Int64 // finished jobs dropped from the registry (TTL or cap)
-	JobsCancelled atomic.Int64 // jobs ended by deadline expiry or shutdown cancellation
+	JobsEvicted   telemetry.Counter `json:"jobs_evicted"`   // finished jobs dropped from the registry (TTL or cap)
+	JobsCancelled telemetry.Counter `json:"jobs_cancelled"` // jobs ended by deadline expiry or shutdown cancellation
 
 	// Model hot-reload lifecycle.
-	Reloads        atomic.Int64 // successful model-set swaps
-	ReloadFailures atomic.Int64 // reloads rejected (load error or failed certification)
-	CachePurged    atomic.Int64 // score-cache entries dropped across all swaps
+	Reloads        telemetry.Counter `json:"reloads"`         // successful model-set swaps
+	ReloadFailures telemetry.Counter `json:"reload_failures"` // reloads rejected (load error or failed certification)
+	CachePurged    telemetry.Counter `json:"cache_purged"`    // score-cache entries dropped across all swaps
 
 	// Tenant admission layer (zero when no allowlist is configured).
-	TenantUnauthenticated atomic.Int64 // requests rejected 401 (unknown or missing key)
-	TenantRejected        atomic.Int64 // requests rejected 429 by a tenant quota
-	TenantReloads         atomic.Int64 // successful allowlist reloads (SIGHUP or endpoint)
+	TenantUnauthenticated telemetry.Counter `json:"tenant_unauthenticated"` // requests rejected 401 (unknown or missing key)
+	TenantRejected        telemetry.Counter `json:"tenant_rejected"`        // requests rejected 429 by a tenant quota
+	TenantReloads         telemetry.Counter `json:"tenant_reloads"`         // successful allowlist reloads (SIGHUP or endpoint)
 
-	ScanLatency Histogram
+	ScanLatency telemetry.Histogram `json:"scan_latency"`
 }
 
 // observeBatch records one dispatcher flush of n requests.
@@ -60,162 +58,38 @@ func (m *Metrics) observeBatch(n int) {
 	if n > 1 {
 		m.Coalesced.Add(1)
 	}
-	for {
-		cur := m.MaxBatchSize.Load()
-		if int64(n) <= cur || m.MaxBatchSize.CompareAndSwap(cur, int64(n)) {
-			return
-		}
+	m.MaxBatchSize.Observe(int64(n))
+}
+
+// MetricsDoc is the /metrics document: the counter set plus the gauges the
+// Server samples per request. A gateway decodes one per replica and Merges
+// them into the cluster document, so both read the same way.
+type MetricsDoc struct {
+	*Metrics
+
+	// Job-pool queue depths and the registry's size under its
+	// max-live-jobs bound (0 = unbounded).
+	JobsQueued      telemetry.Counter `json:"jobs_queued"`
+	JobsPending     telemetry.Counter `json:"jobs_pending"`
+	JobsDone        telemetry.Counter `json:"jobs_done"`
+	JobsRegistry    telemetry.Counter `json:"jobs_registry"`
+	JobsRegistryCap telemetry.Counter `json:"jobs_registry_cap"`
+
+	// Tenants carries the per-tenant counter sets, keyed by tenant name;
+	// absent on single-tenant deployments.
+	Tenants map[string]*tenant.Metrics `json:"tenants,omitempty"`
+
+	// MeanBatch is derived from the merged batch counters.
+	MeanBatch float64 `json:"mean_batch_size"`
+}
+
+// Merge folds src into d: counters and gauges sum, the max batch size
+// takes the max, histograms merge bucket by bucket, and the mean batch
+// size is re-derived. Merging a live document into a zero one snapshots
+// it.
+func (d *MetricsDoc) Merge(src *MetricsDoc) {
+	telemetry.Merge(d, src)
+	if b := d.Batches.Load(); b > 0 {
+		d.MeanBatch = float64(d.BatchedRaws.Load()) / float64(b)
 	}
-}
-
-// histBounds are the scan-latency bucket upper bounds. The last implicit
-// bucket is +Inf.
-var histBounds = [...]time.Duration{
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	time.Second,
-}
-
-// Histogram is a fixed-bucket latency histogram with atomic counters.
-type Histogram struct {
-	counts [len(histBounds) + 1]atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration. It sits on every scan response, so it must
-// stay allocation free.
-//
-//mpass:zeroalloc
-func (h *Histogram) Observe(d time.Duration) {
-	i := 0
-	for i < len(histBounds) && d > histBounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-}
-
-// HistogramSnapshot is the JSON form of a Histogram.
-type HistogramSnapshot struct {
-	Count     int64     `json:"count"`
-	MeanMs    float64   `json:"mean_ms"`
-	BucketsMs []float64 `json:"buckets_ms"` // upper bounds; -1 = +Inf
-	Counts    []int64   `json:"counts"`
-}
-
-// snapshot samples the histogram. Buckets are reported as cumulative upper
-// bounds in milliseconds, with the +Inf bucket last.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load()}
-	if s.Count > 0 {
-		s.MeanMs = float64(h.sum.Load()) / float64(s.Count) / 1e6
-	}
-	for i, b := range histBounds {
-		s.BucketsMs = append(s.BucketsMs, float64(b)/1e6)
-		s.Counts = append(s.Counts, h.counts[i].Load())
-	}
-	s.BucketsMs = append(s.BucketsMs, -1) // +Inf sentinel
-	s.Counts = append(s.Counts, h.counts[len(histBounds)].Load())
-	return s
-}
-
-// MetricsSnapshot is the /metrics response document.
-type MetricsSnapshot struct {
-	ScanRequests   int64 `json:"scan_requests"`
-	ScanRejected   int64 `json:"scan_rejected"`
-	ScanErrors     int64 `json:"scan_errors"`
-	AttackRequests int64 `json:"attack_requests"`
-	AttackRejected int64 `json:"attack_rejected"`
-
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-
-	ScansStreamed int64 `json:"scans_streamed"`
-	StreamedBytes int64 `json:"streamed_bytes"`
-
-	Batches      int64   `json:"batches"`
-	BatchedRaws  int64   `json:"batched_raws"`
-	MaxBatchSize int64   `json:"max_batch_size"`
-	Coalesced    int64   `json:"coalesced_batches"`
-	MeanBatch    float64 `json:"mean_batch_size"`
-
-	OracleQueries int64 `json:"oracle_queries"`
-	OracleRetries int64 `json:"oracle_retries"`
-	OracleBreaks  int64 `json:"oracle_breaks"`
-
-	JobsQueued    int   `json:"jobs_queued"`
-	JobsPending   int   `json:"jobs_pending"`
-	JobsDone      int   `json:"jobs_done"`
-	JobsEvicted   int64 `json:"jobs_evicted"`
-	JobsCancelled int64 `json:"jobs_cancelled"`
-
-	Reloads        int64 `json:"reloads"`
-	ReloadFailures int64 `json:"reload_failures"`
-	CachePurged    int64 `json:"cache_purged"`
-
-	TenantUnauthenticated int64 `json:"tenant_unauthenticated"`
-	TenantRejected        int64 `json:"tenant_rejected"`
-	TenantReloads         int64 `json:"tenant_reloads"`
-
-	// Tenants carries the per-tenant counter sets, keyed by tenant name.
-	// Filled in by the Server (which owns the tenant table); absent on
-	// single-tenant deployments.
-	Tenants map[string]tenant.Snapshot `json:"tenants,omitempty"`
-
-	// Registry gauges: current size and the max-live-jobs bound it is held
-	// under (0 = unbounded). Filled in by the Server, which owns the registry.
-	JobsRegistry    int `json:"jobs_registry"`
-	JobsRegistryCap int `json:"jobs_registry_cap"`
-
-	ScanLatency HistogramSnapshot `json:"scan_latency"`
-}
-
-// Snapshot samples every counter. Queue-depth gauges are filled in by the
-// Server, which owns the job pool.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		ScanRequests:   m.ScanRequests.Load(),
-		ScanRejected:   m.ScanRejected.Load(),
-		ScanErrors:     m.ScanErrors.Load(),
-		AttackRequests: m.AttackRequests.Load(),
-		AttackRejected: m.AttackRejected.Load(),
-		CacheHits:      m.CacheHits.Load(),
-		CacheMisses:    m.CacheMisses.Load(),
-		ScansStreamed:  m.ScansStreamed.Load(),
-		StreamedBytes:  m.StreamedBytes.Load(),
-		Batches:        m.Batches.Load(),
-		BatchedRaws:    m.BatchedRaws.Load(),
-		MaxBatchSize:   m.MaxBatchSize.Load(),
-		Coalesced:      m.Coalesced.Load(),
-		OracleQueries:  m.OracleQueries.Load(),
-		OracleRetries:  m.OracleRetries.Load(),
-		OracleBreaks:   m.OracleBreaks.Load(),
-		JobsEvicted:    m.JobsEvicted.Load(),
-		JobsCancelled:  m.JobsCancelled.Load(),
-		Reloads:        m.Reloads.Load(),
-		ReloadFailures: m.ReloadFailures.Load(),
-		CachePurged:    m.CachePurged.Load(),
-
-		TenantUnauthenticated: m.TenantUnauthenticated.Load(),
-		TenantRejected:        m.TenantRejected.Load(),
-		TenantReloads:         m.TenantReloads.Load(),
-
-		ScanLatency: m.ScanLatency.snapshot(),
-	}
-	if s.Batches > 0 {
-		s.MeanBatch = float64(s.BatchedRaws) / float64(s.Batches)
-	}
-	return s
 }

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// TestRetryAfterSecs tables the drain-rate estimator, pinning the
-// cold-start guards: with no observed completions (or a non-positive
-// uptime) there is no rate to divide by, and the answer must be the
-// minimum legal hint — never a division by zero, never "Retry-After: 0".
+// TestRetryAfterSecs tables the drain-rate estimator shared by replicas
+// and the gateway, pinning the cold-start guards: with no observed
+// completions (or a non-positive uptime) there is no rate to divide by,
+// and the answer must be the minimum legal hint — never a division by
+// zero, never "Retry-After: 0".
 func TestRetryAfterSecs(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -29,9 +30,13 @@ func TestRetryAfterSecs(t *testing.T) {
 		{"exactly the ceiling", 59, 1, 1, 60},
 		{"above the ceiling clamps", 1000, 1, 100, 60},
 		{"huge backlog, tiny rate", 1 << 30, 1, 3600, 60},
+		// The gateway's inputs: summed replica backlog over scans routed
+		// since the gateway started.
+		{"gateway cold start: backlog but nothing routed yet", 40, 0, 5, 1},
+		{"gateway NaN uptime floors at 1", 40, 100, math.NaN(), 1},
 	} {
-		if got := retryAfterSecs(tc.backlog, tc.completed, tc.upSeconds); got != tc.want {
-			t.Errorf("%s: retryAfterSecs(%d, %d, %v) = %d, want %d",
+		if got := RetryAfterSecs(tc.backlog, tc.completed, tc.upSeconds); got != tc.want {
+			t.Errorf("%s: RetryAfterSecs(%d, %d, %v) = %d, want %d",
 				tc.name, tc.backlog, tc.completed, tc.upSeconds, got, tc.want)
 		}
 	}

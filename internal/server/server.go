@@ -537,18 +537,18 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 // the current backlog divided by the observed completion rate, clamped to
 // [1, 60] seconds.
 func (s *Server) retryAfter(backlog int, completed int64) string {
-	return strconv.Itoa(retryAfterSecs(backlog, completed, time.Since(s.started).Seconds()))
+	return strconv.Itoa(RetryAfterSecs(backlog, completed, time.Since(s.started).Seconds()))
 }
 
-// retryAfterSecs is the pure drain-rate estimator behind every Retry-After
-// hint. The cold-start guard comes first: before any completion has been
-// observed (or with a non-positive uptime, as on a clock step) there is no
-// rate to divide by, so the answer is the minimum legal hint of 1 rather
-// than a division by zero. The clamp then bounds the estimate to [1, 60],
-// which also absorbs a zero backlog (ceil(1/rate) can round to 1 but the
-// clamp makes the floor unconditional) and any float oddity the division
-// could produce.
-func retryAfterSecs(backlog int, completed int64, upSeconds float64) int {
+// RetryAfterSecs is the pure drain-rate estimator behind every Retry-After
+// hint, the replica's and the gateway's alike. The cold-start guard comes
+// first: before any completion has been observed (or with a non-positive
+// uptime, as on a clock step) there is no rate to divide by, so the answer
+// is the minimum legal hint of 1 rather than a division by zero. The clamp
+// then bounds the estimate to [1, 60], which also absorbs a zero backlog
+// (ceil(1/rate) can round to 1 but the clamp makes the floor
+// unconditional) and any float oddity the division could produce.
+func RetryAfterSecs(backlog int, completed int64, upSeconds float64) int {
 	if upSeconds <= 0 || completed <= 0 {
 		return 1
 	}
@@ -604,16 +604,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.metrics.Snapshot()
-	snap.JobsQueued = s.jobs.pool.Queued()
-	snap.JobsPending = s.jobs.pool.Pending()
-	snap.JobsDone = s.jobs.pool.Done()
-	snap.JobsRegistry = s.jobs.size()
-	snap.JobsRegistryCap = s.jobs.maxJobs
+	live := &MetricsDoc{Metrics: &s.metrics}
+	live.JobsQueued.Store(int64(s.jobs.pool.Queued()))
+	live.JobsPending.Store(int64(s.jobs.pool.Pending()))
+	live.JobsDone.Store(int64(s.jobs.pool.Done()))
+	live.JobsRegistry.Store(int64(s.jobs.size()))
+	live.JobsRegistryCap.Store(int64(s.jobs.maxJobs))
 	if s.cfg.Tenants != nil {
-		snap.Tenants = s.cfg.Tenants.Snapshot()
+		live.Tenants = s.cfg.Tenants.Metrics()
 	}
-	writeJSON(w, http.StatusOK, snap)
+	var doc MetricsDoc
+	doc.Merge(live)
+	writeJSON(w, http.StatusOK, &doc)
 }
 
 // readBody reads the raw PE upload, enforcing the size cap. On failure it

@@ -295,16 +295,16 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		postBytes(t, ts.URL+"/v1/scan", []byte(fmt.Sprintf("sample-%d", i)))
 	}
-	var snap MetricsSnapshot
+	var snap MetricsDoc
 	getJSON(t, ts.URL+"/metrics", &snap)
-	if snap.ScanRequests != 3 {
-		t.Fatalf("scan_requests = %d, want 3", snap.ScanRequests)
+	if snap.ScanRequests.Load() != 3 {
+		t.Fatalf("scan_requests = %d, want 3", snap.ScanRequests.Load())
 	}
-	if snap.Batches == 0 || snap.BatchedRaws != 3 {
-		t.Fatalf("batches/batched_raws = %d/%d", snap.Batches, snap.BatchedRaws)
+	if snap.Batches.Load() == 0 || snap.BatchedRaws.Load() != 3 {
+		t.Fatalf("batches/batched_raws = %d/%d", snap.Batches.Load(), snap.BatchedRaws.Load())
 	}
-	if snap.ScanLatency.Count != 3 || len(snap.ScanLatency.Counts) != len(histBounds)+1 {
-		t.Fatalf("latency histogram count=%d buckets=%d", snap.ScanLatency.Count, len(snap.ScanLatency.Counts))
+	if snap.ScanLatency.Count() != 3 {
+		t.Fatalf("latency histogram count = %d, want 3", snap.ScanLatency.Count())
 	}
 }
 

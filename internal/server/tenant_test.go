@@ -87,7 +87,7 @@ func TestTenantRejectionsConsumeNothing(t *testing.T) {
 	tb := tenantTable(t,
 		tenant.Tenant{Name: "acme", Key: "ka", RatePerSec: 0.001, Burst: 1},
 	)
-	s, ts := newTestServer(t, Config{Tenants: tb, Attack: stubAttack(1)})
+	_, ts := newTestServer(t, Config{Tenants: tb, Attack: stubAttack(1)})
 
 	// Missing key, wrong key: 401 on both endpoints.
 	for _, key := range []string{"", "wrong"} {
@@ -113,18 +113,19 @@ func TestTenantRejectionsConsumeNothing(t *testing.T) {
 	requireRetryAfter(t, resp)
 
 	// The one admitted scan is the only thing the pipeline ever saw.
-	m := s.metrics.Snapshot()
-	if m.ScanRequests != 1 || m.CacheMisses != 1 || m.BatchedRaws != 1 {
+	var m MetricsDoc
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.ScanRequests.Load() != 1 || m.CacheMisses.Load() != 1 || m.BatchedRaws.Load() != 1 {
 		t.Fatalf("pipeline saw scan_requests=%d cache_misses=%d batched_raws=%d, want 1/1/1 — rejections leaked in",
-			m.ScanRequests, m.CacheMisses, m.BatchedRaws)
+			m.ScanRequests.Load(), m.CacheMisses.Load(), m.BatchedRaws.Load())
 	}
-	if m.AttackRequests != 0 || m.JobsRegistry != 0 {
+	if m.AttackRequests.Load() != 0 || m.JobsRegistry.Load() != 0 {
 		t.Fatalf("attack_requests=%d jobs_registry=%d after rejected attacks, want 0/0",
-			m.AttackRequests, m.JobsRegistry)
+			m.AttackRequests.Load(), m.JobsRegistry.Load())
 	}
-	if m.TenantUnauthenticated != 4 || m.TenantRejected != 1 {
+	if m.TenantUnauthenticated.Load() != 4 || m.TenantRejected.Load() != 1 {
 		t.Fatalf("tenant_unauthenticated=%d tenant_rejected=%d, want 4/1",
-			m.TenantUnauthenticated, m.TenantRejected)
+			m.TenantUnauthenticated.Load(), m.TenantRejected.Load())
 	}
 }
 
@@ -203,12 +204,13 @@ func TestTenantFairnessUnderContention(t *testing.T) {
 	}
 
 	// Per-tenant metrics kept the books per tenant.
-	snap := tb.Snapshot()
-	if snap["good"].Scans != perTenant || snap["good"].RateLimited != 0 {
-		t.Fatalf("good snapshot = %+v, want %d scans and 0 rate_limited", snap["good"], perTenant)
+	m := tb.Metrics()
+	if m["good"].Scans.Load() != perTenant || m["good"].RateLimited.Load() != 0 {
+		t.Fatalf("good tenant: %d scans and %d rate_limited, want %d and 0",
+			m["good"].Scans.Load(), m["good"].RateLimited.Load(), perTenant)
 	}
-	if got := snap["noisy"].RateLimited + snap["noisy"].Saturated; got != noisyShed {
-		t.Fatalf("noisy rejections in snapshot = %d, observed %d", got, noisyShed)
+	if got := m["noisy"].RateLimited.Load() + m["noisy"].Saturated.Load(); got != noisyShed {
+		t.Fatalf("noisy rejections in metrics = %d, observed %d", got, noisyShed)
 	}
 }
 
@@ -323,8 +325,9 @@ func TestTenantJobAttribution(t *testing.T) {
 	if v.Tenant != "acme" {
 		t.Fatalf("job view tenant = %q, want acme", v.Tenant)
 	}
-	if snap := tb.Snapshot()["acme"]; snap.Attacks != 1 || snap.Admitted != 1 {
-		t.Fatalf("tenant snapshot = %+v, want 1 attack / 1 admitted (polls must not charge quota)", snap)
+	if m := tb.Metrics()["acme"]; m.Attacks.Load() != 1 || m.Admitted.Load() != 1 {
+		t.Fatalf("tenant metrics: %d attacks / %d admitted, want 1/1 (polls must not charge quota)",
+			m.Attacks.Load(), m.Admitted.Load())
 	}
 }
 
@@ -404,19 +407,19 @@ func TestTenantMetricsExposure(t *testing.T) {
 		}
 	}
 
-	var m MetricsSnapshot
+	var m MetricsDoc
 	getJSON(t, ts.URL+"/metrics", &m)
 	ten, ok := m.Tenants["acme"]
 	if !ok {
-		t.Fatalf("/metrics tenants map lacks acme: %+v", m.Tenants)
+		t.Fatalf("/metrics tenants map lacks acme: %v", m.Tenants)
 	}
-	if ten.Scans != 3 || ten.Admitted != 3 {
-		t.Fatalf("acme scans/admitted = %d/%d, want 3/3", ten.Scans, ten.Admitted)
+	if ten.Scans.Load() != 3 || ten.Admitted.Load() != 3 {
+		t.Fatalf("acme scans/admitted = %d/%d, want 3/3", ten.Scans.Load(), ten.Admitted.Load())
 	}
-	if ten.ScanLatency.Count != 3 {
-		t.Fatalf("acme latency count = %d, want 3", ten.ScanLatency.Count)
+	if ten.ScanLatency.Count() != 3 {
+		t.Fatalf("acme latency count = %d, want 3", ten.ScanLatency.Count())
 	}
-	if ten.InFlight != 0 {
-		t.Fatalf("acme in_flight = %d after responses completed, want 0", ten.InFlight)
+	if ten.InFlight.Load() != 0 {
+		t.Fatalf("acme in_flight = %d after responses completed, want 0", ten.InFlight.Load())
 	}
 }

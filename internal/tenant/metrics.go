@@ -1,134 +1,17 @@
 package tenant
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "mpass/internal/telemetry"
 
 // Metrics is one tenant's counter set — the per-tenant labels behind the
-// /metrics document's "tenants" map. Same atomics-plus-snapshot shape as
-// the server's global Metrics, declared here so the package stays
-// dependency-free (the server imports tenant, never the reverse).
+// /metrics document's "tenants" map. Each field's json tag is its key
+// there, and the gateway merges the sets across replicas by tenant name.
 type Metrics struct {
-	Admitted    atomic.Int64 // requests past auth, bucket, and in-flight share
-	Scans       atomic.Int64 // scan requests entering the pipeline (mirrors global ScanRequests)
-	Attacks     atomic.Int64 // admitted attack submissions
-	RateLimited atomic.Int64 // rejections by the token bucket
-	Saturated   atomic.Int64 // rejections by the in-flight share
+	Admitted    telemetry.Counter `json:"admitted"`     // requests past auth, bucket, and in-flight share
+	Scans       telemetry.Counter `json:"scans"`        // scan requests entering the pipeline (mirrors global ScanRequests)
+	Attacks     telemetry.Counter `json:"attacks"`      // admitted attack submissions
+	RateLimited telemetry.Counter `json:"rate_limited"` // rejections by the token bucket
+	Saturated   telemetry.Counter `json:"saturated"`    // rejections by the in-flight share
+	InFlight    telemetry.Counter `json:"in_flight"`    // gauge: admitted requests not yet released
 
-	ScanLatency Histogram
-}
-
-// latencyBounds mirror the server's scan-latency buckets so per-tenant
-// and global histograms merge and compare bucket-for-bucket. The last
-// implicit bucket is +Inf.
-var latencyBounds = [...]time.Duration{
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	time.Second,
-}
-
-// Histogram is a fixed-bucket latency histogram with atomic counters.
-type Histogram struct {
-	counts [len(latencyBounds) + 1]atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration. It sits on every admitted scan response,
-// so it must stay allocation free.
-//
-//mpass:zeroalloc
-func (h *Histogram) Observe(d time.Duration) {
-	i := 0
-	for i < len(latencyBounds) && d > latencyBounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-}
-
-// HistogramSnapshot is the JSON form of a Histogram: cumulative upper
-// bounds in milliseconds with the +Inf bucket (-1 sentinel) last.
-type HistogramSnapshot struct {
-	Count     int64     `json:"count"`
-	MeanMs    float64   `json:"mean_ms"`
-	BucketsMs []float64 `json:"buckets_ms"`
-	Counts    []int64   `json:"counts"`
-}
-
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load()}
-	if s.Count > 0 {
-		s.MeanMs = float64(h.sum.Load()) / float64(s.Count) / 1e6
-	}
-	for i, b := range latencyBounds {
-		s.BucketsMs = append(s.BucketsMs, float64(b)/1e6)
-		s.Counts = append(s.Counts, h.counts[i].Load())
-	}
-	s.BucketsMs = append(s.BucketsMs, -1) // +Inf sentinel
-	s.Counts = append(s.Counts, h.counts[len(latencyBounds)].Load())
-	return s
-}
-
-// Snapshot is one tenant's slice of the /metrics document.
-type Snapshot struct {
-	Admitted    int64 `json:"admitted"`
-	Scans       int64 `json:"scans"`
-	Attacks     int64 `json:"attacks"`
-	RateLimited int64 `json:"rate_limited"`
-	Saturated   int64 `json:"saturated"`
-	InFlight    int64 `json:"in_flight"` // gauge
-
-	ScanLatency HistogramSnapshot `json:"scan_latency"`
-}
-
-func (m *Metrics) snapshot(inflight int64) Snapshot {
-	return Snapshot{
-		Admitted:    m.Admitted.Load(),
-		Scans:       m.Scans.Load(),
-		Attacks:     m.Attacks.Load(),
-		RateLimited: m.RateLimited.Load(),
-		Saturated:   m.Saturated.Load(),
-		InFlight:    inflight,
-		ScanLatency: m.ScanLatency.snapshot(),
-	}
-}
-
-// Merge folds b into a for the gateway's fleet rollup: counters and
-// gauges sum, histograms merge bucket-wise (every tier uses the same
-// fixed bounds), and the mean is re-derived from the merged counts.
-func Merge(a, b Snapshot) Snapshot {
-	meanNumer := float64(a.ScanLatency.Count)*a.ScanLatency.MeanMs +
-		float64(b.ScanLatency.Count)*b.ScanLatency.MeanMs
-	a.Admitted += b.Admitted
-	a.Scans += b.Scans
-	a.Attacks += b.Attacks
-	a.RateLimited += b.RateLimited
-	a.Saturated += b.Saturated
-	a.InFlight += b.InFlight
-	if len(a.ScanLatency.BucketsMs) == 0 {
-		a.ScanLatency.BucketsMs = append([]float64(nil), b.ScanLatency.BucketsMs...)
-		a.ScanLatency.Counts = append([]int64(nil), b.ScanLatency.Counts...)
-	} else if len(b.ScanLatency.Counts) == len(a.ScanLatency.Counts) {
-		for i, c := range b.ScanLatency.Counts {
-			a.ScanLatency.Counts[i] += c
-		}
-	}
-	a.ScanLatency.Count += b.ScanLatency.Count
-	if a.ScanLatency.Count > 0 {
-		a.ScanLatency.MeanMs = meanNumer / float64(a.ScanLatency.Count)
-	}
-	return a
+	ScanLatency telemetry.Histogram `json:"scan_latency"`
 }

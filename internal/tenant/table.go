@@ -37,8 +37,7 @@ type entry struct {
 	bucket      *bucket
 	maxInFlight atomic.Int64 // 0 = uncapped; retuned in place on reload
 	admin       atomic.Bool  // operator credential; retuned in place on reload
-	inflight    atomic.Int64
-	m           Metrics
+	m           Metrics      // m.InFlight doubles as the share's claim count
 }
 
 // tableState is one immutable generation of the table: admission resolves
@@ -165,15 +164,15 @@ func (t *Table) Admit(key string, now time.Time) (*Grant, error) {
 	// Claim the fair-queue share before the bucket: a tenant already
 	// filling its slice of the shared queues must not also drain tokens it
 	// cannot use.
-	if limit := e.maxInFlight.Load(); limit > 0 && e.inflight.Add(1) > limit {
-		e.inflight.Add(-1)
+	if limit := e.maxInFlight.Load(); limit > 0 && e.m.InFlight.Add(1) > limit {
+		e.m.InFlight.Add(-1)
 		e.m.Saturated.Add(1)
 		return nil, &QuotaError{Tenant: e.name, Saturated: true, RetryAfter: time.Second}
 	} else if limit <= 0 {
-		e.inflight.Add(1)
+		e.m.InFlight.Add(1)
 	}
 	if ok, wait := e.bucket.take(now); !ok {
-		e.inflight.Add(-1)
+		e.m.InFlight.Add(-1)
 		e.m.RateLimited.Add(1)
 		return nil, &QuotaError{Tenant: e.name, RetryAfter: wait}
 	}
@@ -194,7 +193,7 @@ func (g *Grant) Tenant() string { return g.e.name }
 // Release returns the in-flight slot; safe to call more than once.
 func (g *Grant) Release() {
 	if g.released.CompareAndSwap(false, true) {
-		g.e.inflight.Add(-1)
+		g.e.m.InFlight.Add(-1)
 	}
 }
 
@@ -208,12 +207,13 @@ func (g *Grant) CountAttack() { g.e.m.Attacks.Add(1) }
 // latency histogram.
 func (g *Grant) ObserveScanLatency(d time.Duration) { g.e.m.ScanLatency.Observe(d) }
 
-// Snapshot samples every tenant's counters, keyed by tenant name.
-func (t *Table) Snapshot() map[string]Snapshot {
+// Metrics returns every resident tenant's live counter set, keyed by
+// tenant name.
+func (t *Table) Metrics() map[string]*Metrics {
 	st := t.state.Load()
-	out := make(map[string]Snapshot, len(st.entries))
+	out := make(map[string]*Metrics, len(st.entries))
 	for _, e := range st.entries {
-		out[e.name] = e.m.snapshot(e.inflight.Load())
+		out[e.name] = &e.m
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpass/internal/telemetry"
 )
 
 var t0 = time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
@@ -226,12 +229,12 @@ func TestAdmitLifecycle(t *testing.T) {
 
 	// Two saturated rejections above: the third concurrent admit and the
 	// double-release probe.
-	snap := tb.Snapshot()["a"]
-	if snap.Saturated != 2 || snap.RateLimited != 1 {
-		t.Fatalf("snapshot saturated=%d rate_limited=%d, want 2 and 1", snap.Saturated, snap.RateLimited)
+	m := tb.Metrics()["a"]
+	if m.Saturated.Load() != 2 || m.RateLimited.Load() != 1 {
+		t.Fatalf("saturated=%d rate_limited=%d, want 2 and 1", m.Saturated.Load(), m.RateLimited.Load())
 	}
-	if snap.InFlight != 0 {
-		t.Fatalf("in_flight = %d after all releases, want 0", snap.InFlight)
+	if m.InFlight.Load() != 0 {
+		t.Fatalf("in_flight = %d after all releases, want 0", m.InFlight.Load())
 	}
 }
 
@@ -325,7 +328,7 @@ func TestReloadPreservesState(t *testing.T) {
 	if _, err := tb.Admit("ka-rotated", now); err == nil {
 		t.Fatal("reload refilled the bucket: 11th token granted")
 	}
-	if scans := tb.Snapshot()["a"].Scans; scans != 3 {
+	if scans := tb.Metrics()["a"].Scans.Load(); scans != 3 {
 		t.Fatalf("scans after reload = %d, want 3 (metrics reset?)", scans)
 	}
 
@@ -392,40 +395,51 @@ func TestReloadWithoutPath(t *testing.T) {
 	}
 }
 
-// TestMerge checks the gateway rollup: counters and gauges sum, histogram
-// buckets add element-wise, and the mean is re-derived from the merged
-// population.
+// TestMerge checks the gateway rollup of two replicas' sets for one
+// tenant: counters and the in-flight gauge sum, histogram buckets add
+// element-wise, and the mean is re-derived from the merged population.
 func TestMerge(t *testing.T) {
 	var ma, mb Metrics
 	ma.Admitted.Store(2)
 	mb.Admitted.Store(3)
 	ma.RateLimited.Store(1)
+	ma.InFlight.Store(1)
+	mb.InFlight.Store(2)
 	ma.ScanLatency.Observe(2 * time.Millisecond)
 	mb.ScanLatency.Observe(4 * time.Millisecond)
 	mb.ScanLatency.Observe(6 * time.Millisecond)
 
-	got := Merge(ma.snapshot(1), mb.snapshot(2))
-	if got.Admitted != 5 || got.RateLimited != 1 || got.InFlight != 3 {
-		t.Fatalf("merged counters = %+v", got)
+	var got Metrics
+	telemetry.Merge(&got, &ma)
+	telemetry.Merge(&got, &mb)
+	if got.Admitted.Load() != 5 || got.RateLimited.Load() != 1 || got.InFlight.Load() != 3 {
+		t.Fatalf("merged admitted=%d rate_limited=%d in_flight=%d, want 5/1/3",
+			got.Admitted.Load(), got.RateLimited.Load(), got.InFlight.Load())
 	}
-	if got.ScanLatency.Count != 3 {
-		t.Fatalf("merged latency count = %d, want 3", got.ScanLatency.Count)
+	b, err := json.Marshal(&got.ScanLatency)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := 4.0; got.ScanLatency.MeanMs != want {
-		t.Fatalf("merged mean = %v ms, want %v", got.ScanLatency.MeanMs, want)
+	var h struct {
+		Count  int64   `json:"count"`
+		MeanMs float64 `json:"mean_ms"`
+		Counts []int64 `json:"counts"`
+	}
+	if err := json.Unmarshal(b, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Count != 3 {
+		t.Fatalf("merged latency count = %d, want 3", h.Count)
+	}
+	if want := 4.0; h.MeanMs != want {
+		t.Fatalf("merged mean = %v ms, want %v", h.MeanMs, want)
 	}
 	var total int64
-	for _, c := range got.ScanLatency.Counts {
+	for _, c := range h.Counts {
 		total += c
 	}
 	if total != 3 {
 		t.Fatalf("merged bucket counts sum to %d, want 3", total)
-	}
-
-	// Merging into a zero snapshot adopts the populated histogram.
-	adopted := Merge(Snapshot{}, mb.snapshot(0))
-	if adopted.ScanLatency.Count != 2 || len(adopted.ScanLatency.Counts) == 0 {
-		t.Fatalf("zero-base merge dropped the histogram: %+v", adopted.ScanLatency)
 	}
 }
 
@@ -475,13 +489,14 @@ func TestConcurrentAdmitReload(t *testing.T) {
 		if _, err := tb.Reload(); err != nil {
 			t.Errorf("reload %d: %v", gen, err)
 		}
-		tb.Snapshot()
+		var snap Metrics
+		telemetry.Merge(&snap, tb.Metrics()["a"])
 	}
 	close(stop)
 	wg.Wait()
 
-	snap := tb.Snapshot()
-	if snap["a"].InFlight != 0 || snap["b"].InFlight != 0 {
-		t.Fatalf("in-flight gauge leaked: %+v", snap)
+	m := tb.Metrics()
+	if m["a"].InFlight.Load() != 0 || m["b"].InFlight.Load() != 0 {
+		t.Fatalf("in-flight gauge leaked: a=%d b=%d", m["a"].InFlight.Load(), m["b"].InFlight.Load())
 	}
 }
