@@ -13,8 +13,9 @@ PARALLEL_PKGS = ./internal/parallel ./internal/tensor ./internal/nn \
                 ./internal/tenant ./internal/telemetry
 
 # BENCH_N.json names follow the PR sequence and are append-only history:
-# benchjson refuses to overwrite an existing trajectory file, so a new run
-# bumps the number (or passes FORCE_BENCH=1 to regenerate in place).
+# benchjson leaves an existing trajectory file untouched (and still exits 0
+# once any gate has passed), so a new run bumps the number (or passes
+# FORCE_BENCH=1 to regenerate in place).
 BENCH_JSON ?= BENCH_4.json
 SERVE_BENCH_JSON ?= BENCH_5.json
 CLUSTER_BENCH_JSON ?= BENCH_6.json
@@ -75,12 +76,13 @@ bench-full:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # bench-json runs the inference-engine benchmarks and a serving-layer load
-# run, writing machine-readable reports for regression diffing.
+# run (scenarios/serve-bench.json), writing machine-readable reports for
+# regression diffing.
 bench-json:
 	$(GO) test -run '^$$' \
 		-bench 'DetectorPredict$$|DetectorPredictQuant$$|StreamScore$$|InputGradient$$|ShapleySample$$' \
 		-benchmem -count=1 . | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) -out $(BENCH_JSON)
-	sh scripts/serve_bench.sh bench | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) -out $(SERVE_BENCH_JSON)
+	FORCE_BENCH=$(FORCE_BENCH) sh scripts/drill.sh bench $(SERVE_BENCH_JSON)
 
 # quant-gate is the fixed-point speedup gate: the int32 quantized table
 # path must beat the float64 table path by >= 1.3x, measured in a single
@@ -93,58 +95,51 @@ quant-gate:
 		./internal/nn | $(GO) run ./cmd/benchjson \
 		-gate 'BenchmarkPredictTableFloat,BenchmarkPredictTableQuant32,1.3' >/dev/null
 
-# serve-smoke boots mpassd on a random port, drives it with mpass-load
-# (healthz preflight, scan burst, one attack job, /metrics cross-check), and
-# verifies a graceful SIGTERM drain.
-serve-smoke:
-	sh scripts/serve_bench.sh smoke
-
-# serve-faults is the resilience drill: mpassd runs with deterministic
-# oracle fault injection (hangs, transient errors, latency) and mpass-load
-# -faults verifies every attack job still reaches a terminal state, then the
-# SIGTERM drain must complete within its deadline.
-serve-faults:
-	sh scripts/serve_bench.sh faults
-
-# reload-smoke is the zero-downtime hot-reload drill: mpassd persists its
-# engines as a per-engine envelope directory, then mpass-load -reload swaps
-# model generations from inside a sustained scan burst — every swap must
-# certify (health, finite probes, int32 quant parity) and land, every scan
-# response must carry a generation the server really served, and /healthz
-# and /metrics must agree with the last swap. Writes $(RELOAD_BENCH_JSON)
-# on first run (append-only; FORCE_BENCH=1 regenerates).
-reload-smoke:
-	sh scripts/serve_bench.sh reload | $(GO) run ./cmd/benchjson \
-		$(BENCHJSON_FORCE) -out $(RELOAD_BENCH_JSON)
-
-# cluster-smoke boots 3 mpassd replicas behind mpass-gateway (one training
-# run, shared models.gob), compares a single-replica burst against the same
-# burst through the gateway (host-aware speedup gate — 2.5x on >= 4 CPUs,
-# a sanity bound on smaller hosts), enforces the shard-affinity checks
-# (per-replica cache-hit ratio >= 0.9, misses near the distinct-sample
-# count), and runs a replica kill drill: SIGKILL one replica and require
-# zero failed scans while the ring re-shards. Writes $(CLUSTER_BENCH_JSON)
-# on first run.
-cluster-smoke:
-	CLUSTER_BENCH_JSON=$(CLUSTER_BENCH_JSON) FORCE_BENCH=$(FORCE_BENCH) \
-		sh scripts/serve_cluster.sh smoke
-
 # alloc is the allocation-regression gate: the scoring and gradient hot
 # paths — float, quantized, and streaming — must stay zero-allocation in
 # steady state.
 alloc:
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/nn
 
-# scenario-gate is the multi-tenant serving gate: a 2-replica fleet with
-# the scenarios/tenants.json allowlist behind the gateway runs the
-# noisy-neighbor scenario (phased multi-tenant contention, mixed
-# scan/cachemiss/attack/stream traffic) and enforces its thresholds —
-# p99, shed rate, per-tenant fairness bound, correctness == 1.0,
-# Retry-After >= 1 on every 429. A negative drill first proves a broken
-# threshold exits non-zero, then a SIGHUP drill proves the allowlist
-# hot-reload keeps auth closed. Writes $(SCENARIO_BENCH_JSON) on first run.
+# The serving drills. Each boots its topology with scripts/drill.sh and
+# replays scenarios/*.json through mpass-load, which exits non-zero on any
+# threshold violation or /metrics disagreement; every daemon must then
+# drain cleanly on SIGTERM. Drills given a BENCH file write it on first
+# run (append-only; FORCE_BENCH=1 regenerates).
+#
+# serve-smoke: one int32-quantized replica; a scan burst, an attack job and
+# a streamed upload (serve-smoke.json).
+serve-smoke:
+	sh scripts/drill.sh smoke
+
+# serve-faults: one replica with deterministic oracle fault injection
+# (hangs, transient errors, latency); every attack job must still reach a
+# terminal state and the drain stay within its deadline (serve-faults.json).
+serve-faults:
+	sh scripts/drill.sh faults
+
+# reload-smoke: the zero-downtime hot-reload drill. Three model swaps fire
+# from inside a scan burst; every swap must certify and land, every scan
+# response carry a generation the server really served, and /healthz and
+# /metrics agree with the last swap (serve-reload.json).
+reload-smoke:
+	FORCE_BENCH=$(FORCE_BENCH) sh scripts/drill.sh reload $(RELOAD_BENCH_JSON)
+
+# cluster-smoke: 3 replicas behind mpass-gateway. A single-replica burst
+# against the same burst through the gateway (host-aware speedup gate:
+# 2.5x on >= 4 CPUs, a sanity bound on smaller hosts) with the
+# shard-affinity gate (per-replica cache-hit ratio >= 0.9, misses <= 2x
+# the sample count), then a kill drill: SIGKILL one replica and require
+# zero failed scans while the ring re-shards (cluster-*.json).
+cluster-smoke:
+	FORCE_BENCH=$(FORCE_BENCH) sh scripts/drill.sh cluster $(CLUSTER_BENCH_JSON)
+
+# scenario-gate: 2 replicas with the scenarios/tenants.json allowlist
+# behind the gateway. A negative drill first proves a broken threshold
+# (1ns p99) exits non-zero; then noisy-neighbor.json must meet its p99,
+# shed-rate, fairness, correctness and Retry-After gates; then a SIGHUP
+# drill proves the allowlist reload keeps auth closed (auth-*.json).
 scenario-gate:
-	SCENARIO_BENCH_JSON=$(SCENARIO_BENCH_JSON) FORCE_BENCH=$(FORCE_BENCH) \
-		sh scripts/scenario_gate.sh
+	FORCE_BENCH=$(FORCE_BENCH) sh scripts/drill.sh scenario $(SCENARIO_BENCH_JSON)
 
 ci: build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate

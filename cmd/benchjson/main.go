@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -121,62 +122,74 @@ func checkGate(rep *Report, spec string) (float64, error) {
 }
 
 func main() {
-	out := flag.String("out", "", "output file (default stdout)")
-	force := flag.Bool("force", false, "overwrite an existing -out file")
-	gate := flag.String("gate", "", "speedup gate 'BASE,NEW,MIN': require ns/op(BASE)/ns/op(NEW) >= MIN, exit 1 otherwise")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code explicit, so tests can drive
+// it end to end.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("out", "", "output file (default stdout); an existing file is left untouched unless -force")
+	force := fs.Bool("force", false, "overwrite an existing -out file")
+	gate := fs.String("gate", "", "speedup gate 'BASE,NEW,MIN': require ns/op(BASE)/ns/op(NEW) >= MIN, exit 1 otherwise")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var rep Report
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if r, ok := parseLine(line); ok {
 			rep.Benchmarks = append(rep.Benchmarks, r)
 		} else if s := strings.TrimSpace(line); s != "" {
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(stderr, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson: read:", err)
+		return 1
 	}
 	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson: no benchmark lines on stdin")
+		return 1
 	}
 
 	if *gate != "" {
 		ratio, err := checkGate(&rep, *gate)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: gate %s ok (%.2fx)\n", *gate, ratio)
+		fmt.Fprintf(stderr, "benchjson: gate %s ok (%.2fx)\n", *gate, ratio)
 	}
 
 	// Trajectory files (BENCH_<n>.json) are append-only history: a new run
-	// gets a new number, never silently replaces an old one.
+	// gets a new number, never silently replaces an old one. Finding one
+	// already written is the normal state of a checked-out tree, not a
+	// failure.
 	if *out != "" && !*force {
 		if _, err := os.Stat(*out); err == nil {
-			fmt.Fprintf(os.Stderr,
-				"benchjson: %s already exists; pick a new trajectory file or pass -force\n", *out)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "benchjson: %s exists, not overwriting (pass -force to regenerate)\n", *out)
+			return 0
 		}
 	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
-		os.Stdout.Write(enc)
-		return
+		stdout.Write(enc)
+		return 0
 	}
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
+	return 0
 }

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestParseLine(t *testing.T) {
 	r, ok := parseLine("BenchmarkDetectorPredict-8   \t    1814\t   1545457 ns/op\t   17120 B/op\t       8 allocs/op")
@@ -64,5 +71,40 @@ func TestCheckGate(t *testing.T) {
 		if _, err := checkGate(rep, bad); err == nil {
 			t.Fatalf("malformed spec %q accepted", bad)
 		}
+	}
+}
+
+// TestRunExistingOut: an -out file that already exists is history. With a
+// passing gate the run exits 0 and leaves the file byte-for-byte alone; a
+// failing gate still exits 1.
+func TestRunExistingOut(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_1.json")
+	const old = "{\"benchmarks\": []}\n"
+	if err := os.WriteFile(out, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const lines = "BenchmarkBase 1 400 ns/op\nBenchmarkNew 1 100 ns/op\n"
+	for _, tc := range []struct {
+		gate string
+		code int
+	}{
+		{"BenchmarkBase,BenchmarkNew,2", 0},
+		{"BenchmarkBase,BenchmarkNew,8", 1},
+	} {
+		var stderr bytes.Buffer
+		code := run([]string{"-gate", tc.gate, "-out", out}, strings.NewReader(lines), io.Discard, &stderr)
+		if code != tc.code {
+			t.Errorf("gate %s: exit %d, want %d (stderr %q)", tc.gate, code, tc.code, stderr.String())
+		}
+		if got, _ := os.ReadFile(out); string(got) != old {
+			t.Errorf("gate %s: existing -out file rewritten to %q", tc.gate, got)
+		}
+	}
+	// -force regenerates in place.
+	if code := run([]string{"-force", "-out", out}, strings.NewReader(lines), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("-force run exit %d", code)
+	}
+	if got, _ := os.ReadFile(out); !strings.Contains(string(got), "BenchmarkNew") {
+		t.Fatalf("-force left %q", got)
 	}
 }

@@ -4,9 +4,9 @@
 // shard, and attack jobs to the least-loaded healthy replica under the
 // cluster-wide job-ID namespace {replica}/{id}.
 //
-//	mpassd -addr 127.0.0.1:9001 -models models.gob &
-//	mpassd -addr 127.0.0.1:9002 -models models.gob &
-//	mpassd -addr 127.0.0.1:9003 -models models.gob &
+//	mpassd -addr 127.0.0.1:9001 -models models/ &
+//	mpassd -addr 127.0.0.1:9002 -models models/ &
+//	mpassd -addr 127.0.0.1:9003 -models models/ &
 //	mpass-gateway -replicas 127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 \
 //	              -addr 127.0.0.1:8877
 //

@@ -1,14 +1,14 @@
-// Scenario mode: a small JSON DSL that grows the single burst into a
-// phased, multi-tenant, mixed-traffic run with pass/fail thresholds — the
-// k6-style gate behind `make scenario-gate`. A scenario names its tenants
+// Scenario runs: a small JSON DSL describing a phased, multi-tenant,
+// mixed-traffic load with pass/fail thresholds. A scenario names its tenants
 // (and their API keys), then runs phases in order; each phase's traffic
 // streams run concurrently, and each stream is a client pool issuing a
 // deterministic mix of scan / cachemiss / attack / stream requests under
-// one tenant's key. After the last phase the run is judged against the
-// thresholds; any violation lists to stderr and the process exits
-// non-zero, which is what lets `make ci` fail on a fairness or latency
-// regression. Stdout carries one `go test -bench`-style line per run for
-// the existing benchjson path.
+// one tenant's key. A phase may also hot-swap the model generation
+// mid-traffic. After the last phase the run is judged (gate.go): any
+// violation lists to stderr and the process exits non-zero, which is what
+// lets `make ci` fail on a latency, fairness, correctness or lifecycle
+// regression. A passing run prints one `go test -bench`-style line for the
+// benchjson path.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,7 +27,9 @@ import (
 	"time"
 
 	"mpass/internal/corpus"
+	"mpass/internal/gateway"
 	"mpass/internal/parallel"
+	"mpass/internal/server"
 )
 
 // scenarioFile is the on-disk DSL.
@@ -40,14 +41,18 @@ type scenarioFile struct {
 	Tenants  map[string]string `json:"tenants"`   // tenant name -> API key ("" key = unauthenticated)
 	Phases   []scenarioPhase   `json:"phases"`
 	// Thresholds judge the run. Only compliant (non-noisy) streams count
-	// toward p99/shed/error/correctness — the noisy tenant is *supposed* to
-	// be shed; the gate asserts everyone else keeps their SLO.
+	// toward p99/shed/error/correctness/job failures — the noisy tenant is
+	// *supposed* to be shed; the gate asserts everyone else keeps their SLO.
 	Thresholds thresholds `json:"thresholds"`
 }
 
 type scenarioPhase struct {
 	Name    string          `json:"name"`
 	Streams []trafficStream `json:"streams"`
+	// Reloads fires this many POST /v1/models/reload calls, evenly spaced
+	// through the phase's requests. Every swap must land; plain replicas
+	// only.
+	Reloads int `json:"reloads"`
 }
 
 type trafficStream struct {
@@ -58,22 +63,30 @@ type trafficStream struct {
 	Traffic  map[string]float64 `json:"traffic"` // kind -> weight; empty = all "scan"
 }
 
-// thresholds are all optional (nil = unchecked), so a scenario can gate on
+// thresholds are all optional (nil = unchecked), so a scenario gates on
 // exactly the properties it exercises.
 type thresholds struct {
-	MaxP99Ms         *float64 `json:"max_p99_ms"`
-	MaxShedRate      *float64 `json:"max_shed_rate"`
-	MaxErrorRate     *float64 `json:"max_error_rate"`
-	MinCorrectness   *float64 `json:"min_correctness"`
-	FairnessMaxDelta *float64 `json:"fairness_max_delta"`
+	MaxP99Ms          *float64 `json:"max_p99_ms"`
+	MaxShedRate       *float64 `json:"max_shed_rate"`
+	MaxErrorRate      *float64 `json:"max_error_rate"`
+	MinCorrectness    *float64 `json:"min_correctness"`
+	FairnessMaxDelta  *float64 `json:"fairness_max_delta"`
+	MaxJobFailureRate *float64 `json:"max_job_failure_rate"` // share of attack jobs ending "failed"
+	// MinHitRatio turns on the gateway shard-affinity gate (checkCluster):
+	// the per-replica cache-hit floor over this run's /metrics deltas.
+	MinHitRatio *float64 `json:"min_hit_ratio"`
 }
 
 var trafficKinds = map[string]bool{"scan": true, "cachemiss": true, "attack": true, "stream": true}
 
-// parseScenario decodes and validates a scenario document.
+// parseScenario decodes and validates a scenario document. Unknown keys
+// are errors: every threshold is optional, so a misspelled one would
+// otherwise parse cleanly and silently gate nothing.
 func parseScenario(data []byte) (*scenarioFile, error) {
 	var sc scenarioFile
-	if err := json.Unmarshal(data, &sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("decoding scenario: %w", err)
 	}
 	if sc.Name == "" {
@@ -94,6 +107,9 @@ func parseScenario(data []byte) (*scenarioFile, error) {
 		}
 		if len(ph.Streams) == 0 {
 			return nil, fmt.Errorf("scenario %q: phase %q has no streams", sc.Name, ph.Name)
+		}
+		if ph.Reloads < 0 {
+			return nil, fmt.Errorf("scenario %q: phase %q has negative reloads", sc.Name, ph.Name)
 		}
 		for si, st := range ph.Streams {
 			if st.Tenant == "" {
@@ -118,25 +134,6 @@ func parseScenario(data []byte) (*scenarioFile, error) {
 	return &sc, nil
 }
 
-// streamStats is one traffic stream's outcome tally.
-type streamStats struct {
-	ok, shed, failed atomic.Int64
-	badRetryAfter    atomic.Int64 // 429s missing an integer Retry-After >= 1
-	audited          atomic.Int64 // scan responses checked for score consistency
-	incorrect        atomic.Int64 // scans whose scores disagreed with a prior response
-
-	mu  sync.Mutex
-	lat []time.Duration //mpass:guardedby mu — scan/cachemiss latencies
-}
-
-func (s *streamStats) observe(d time.Duration) {
-	s.mu.Lock()
-	s.lat = append(s.lat, d)
-	s.mu.Unlock()
-}
-
-func (s *streamStats) total() int64 { return s.ok.Load() + s.shed.Load() + s.failed.Load() }
-
 // scenarioRun holds the shared state one scenario execution accumulates.
 type scenarioRun struct {
 	base string
@@ -147,13 +144,14 @@ type scenarioRun struct {
 	// fingerprint first observed for it. Any later response disagreeing is
 	// a correctness failure — the serving tier returned different verdicts
 	// for identical bytes under the same model generation.
-	scores sync.Map
+	scores   sync.Map
+	versions sync.Map // model_version -> struct{}, from every 200 scan
 
 	uniq atomic.Int64 // cache-miss body uniquifier
 }
 
-// runScenario executes the scenario at path against base and enforces its
-// thresholds, returning an error (non-zero exit) on any violation.
+// runScenario executes the scenario at path against base and judges it,
+// returning an error (non-zero exit) on any violation.
 func runScenario(base, path string, maxP99Override time.Duration) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -163,9 +161,37 @@ func runScenario(base, path string, maxP99Override time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	t := sc.Thresholds
 	if maxP99Override > 0 {
 		ms := float64(maxP99Override) / 1e6
-		sc.Thresholds.MaxP99Ms = &ms
+		t.MaxP99Ms = &ms
+	}
+
+	// The target's own /metrics says what it is: a gateway's document lists
+	// its replicas. Snapshot it before the traffic so every server-side
+	// check reads this run's deltas only.
+	pre, preCluster, err := fetchMetrics(base)
+	if err != nil {
+		return err
+	}
+	wantReloads := 0
+	for _, ph := range sc.Phases {
+		wantReloads += ph.Reloads
+	}
+	var rl *reloader
+	switch {
+	case preCluster != nil && wantReloads > 0:
+		return fmt.Errorf("%s: reload phases drive a single plain replica, not a gateway", path)
+	case preCluster == nil && t.MinHitRatio != nil:
+		return fmt.Errorf("%s: min_hit_ratio gates a gateway's fleet, but %s is a plain replica", path, base)
+	case preCluster == nil:
+		// A plain replica names its generation on /healthz; every scan
+		// response is audited against the versions it really served.
+		initial, err := fetchModelVersion(base)
+		if err != nil {
+			return err
+		}
+		rl = &reloader{base: base, log: reloadLog{served: map[string]bool{initial: true}, last: initial}}
 	}
 
 	g := corpus.NewGenerator(sc.Seed + 31000)
@@ -178,214 +204,225 @@ func runScenario(base, path string, maxP99Override time.Duration) error {
 		run.pool[i] = g.Sample(fam).Raw
 	}
 
-	type streamResult struct {
-		phase  string
-		stream trafficStream
-		stats  *streamStats
-	}
 	var results []streamResult
 	start := time.Now()
 	for _, ph := range sc.Phases {
-		phaseStart := time.Now()
-		stats := make([]*streamStats, len(ph.Streams))
-		for i := range stats {
-			stats[i] = &streamStats{}
-		}
-		streams := ph.Streams
-		// Streams run concurrently — that is what makes a contention phase a
-		// contention phase — and each stream runs its own client pool.
-		parallel.ForEach(len(streams), len(streams), func(si int) {
-			st := streams[si]
-			key := sc.Tenants[st.Tenant]
-			parallel.ForEach(st.Clients, st.Requests, func(i int) {
-				kind := pickKind(st.Traffic, unitRand(sc.Seed, si, i))
-				run.issue(kind, key, si, i, stats[si])
-			})
-		})
-		for si, st := range streams {
-			s := stats[si]
-			tag := ""
-			if st.Noisy {
-				tag = " [noisy]"
-			}
-			fmt.Fprintf(os.Stderr, "phase %-12s %s%s: %d ok, %d shed, %d failed (%v)\n",
-				ph.Name, st.Tenant, tag, s.ok.Load(), s.shed.Load(), s.failed.Load(),
-				time.Since(phaseStart).Round(time.Millisecond))
-			results = append(results, streamResult{phase: ph.Name, stream: st, stats: s})
-		}
+		results = append(results, run.phase(ph, rl)...)
 	}
 	elapsed := time.Since(start)
 
-	// Judge the run. Compliant-stream aggregates drive every threshold.
-	var lat []time.Duration
-	var okN, shedN, failN, auditedN, incorrectN, badRA int64
-	noisyPhases := map[string]bool{}
-	for _, r := range results {
-		badRA += r.stats.badRetryAfter.Load()
-		if r.stream.Noisy {
-			noisyPhases[r.phase] = true
-			continue
+	// Server-side counters may still be settling on a fleet (batcher
+	// flushes, per-replica scrapes fetched non-atomically): quiesce first.
+	var post *server.MetricsDoc
+	var postCluster *gateway.ClusterMetrics
+	if preCluster != nil {
+		if postCluster, err = quiesceCluster(base); err == nil {
+			post = &postCluster.Cluster
 		}
-		r.stats.mu.Lock()
-		lat = append(lat, r.stats.lat...)
-		r.stats.mu.Unlock()
-		okN += r.stats.ok.Load()
-		shedN += r.stats.shed.Load()
-		failN += r.stats.failed.Load()
-		auditedN += r.stats.audited.Load()
-		incorrectN += r.stats.incorrect.Load()
+	} else {
+		post, _, err = fetchMetrics(base)
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p99 := quantile(lat, 0.99)
-	total := okN + shedN + failN
-	shedRate, errRate, correctness := 0.0, 0.0, 1.0
-	if total > 0 {
-		shedRate = float64(shedN) / float64(total)
-		errRate = float64(failN) / float64(total)
-	}
-	if auditedN > 0 {
-		correctness = float64(auditedN-incorrectN) / float64(auditedN)
+	if err != nil {
+		return err
 	}
 
-	// Fairness: for each compliant tenant, how much does its shed rate
-	// degrade in phases where a noisy tenant is also running, versus phases
-	// without one? The bound is the per-tenant isolation contract.
-	fairnessDelta := 0.0
-	type rates struct{ shed, total int64 }
-	contended := map[string]*rates{}
-	baseline := map[string]*rates{}
-	for _, r := range results {
-		if r.stream.Noisy {
-			continue
+	violations := judge(results, t)
+	swaps := 0
+	if rl != nil {
+		l := rl.snapshot()
+		swaps = l.swaps
+		healthz, err := fetchModelVersion(base)
+		if err != nil {
+			return err
 		}
-		m := baseline
-		if noisyPhases[r.phase] {
-			m = contended
-		}
-		rt := m[r.stream.Tenant]
-		if rt == nil {
-			rt = &rates{}
-			m[r.stream.Tenant] = rt
-		}
-		rt.shed += r.stats.shed.Load()
-		rt.total += r.stats.total()
+		var seen []string
+		run.versions.Range(func(k, _ any) bool {
+			seen = append(seen, k.(string))
+			return true
+		})
+		violations = append(violations, auditReloads(wantReloads, l, seen, healthz)...)
 	}
-	for tenant, c := range contended {
-		b := baseline[tenant]
-		if b == nil || b.total == 0 || c.total == 0 {
-			continue
+	violations = append(violations, crossCheck(pre, post, results, int64(sc.StreamMB)<<20, swaps)...)
+	extra := ""
+	if t.MinHitRatio != nil {
+		ratio, err := checkCluster(os.Stderr, preCluster, postCluster, int64(sc.Samples), *t.MinHitRatio)
+		if err != nil {
+			violations = append(violations, violation(err.Error()))
 		}
-		delta := float64(c.shed)/float64(c.total) - float64(b.shed)/float64(b.total)
-		if delta > fairnessDelta {
-			fairnessDelta = delta
-		}
+		extra += fmt.Sprintf(" %.3f hit-ratio %d replicas", ratio, len(postCluster.Replicas))
+	}
+	if wantReloads > 0 {
+		extra += fmt.Sprintf(" %d reloads", swaps)
 	}
 
-	rps := float64(total) / elapsed.Seconds()
+	s := summarize(results)
+	rps := float64(s.total) / elapsed.Seconds()
 	fmt.Fprintf(os.Stderr,
-		"scenario %s: %d compliant requests in %v · %.0f req/s · p99 %v · shed %.3f · errors %.3f · correctness %.4f · fairness-delta %.3f\n",
-		sc.Name, total, elapsed.Round(time.Millisecond), rps,
-		p99.Round(time.Microsecond), shedRate, errRate, correctness, fairnessDelta)
-
-	nsPerOp := 0.0
-	if total > 0 {
-		nsPerOp = float64(elapsed.Nanoseconds()) / float64(total)
-	}
-	fmt.Printf("BenchmarkScenario%s %d %.0f ns/op %.1f req/s %d p99-ns %.4f shed-rate %.4f fairness-delta %.4f correctness\n",
-		camelName(sc.Name), total, nsPerOp, rps, p99.Nanoseconds(), shedRate, fairnessDelta, correctness)
-
-	var violations []string
-	t := sc.Thresholds
-	if badRA > 0 {
-		violations = append(violations, fmt.Sprintf("%d 429 responses lacked an integer Retry-After >= 1", badRA))
-	}
-	if t.MaxP99Ms != nil && float64(p99)/1e6 > *t.MaxP99Ms {
-		violations = append(violations, fmt.Sprintf("p99 %.1fms > max %.1fms", float64(p99)/1e6, *t.MaxP99Ms))
-	}
-	if t.MaxShedRate != nil && shedRate > *t.MaxShedRate {
-		violations = append(violations, fmt.Sprintf("compliant shed rate %.4f > max %.4f", shedRate, *t.MaxShedRate))
-	}
-	if t.MaxErrorRate != nil && errRate > *t.MaxErrorRate {
-		violations = append(violations, fmt.Sprintf("compliant error rate %.4f > max %.4f", errRate, *t.MaxErrorRate))
-	}
-	if t.MinCorrectness != nil && correctness < *t.MinCorrectness {
-		violations = append(violations, fmt.Sprintf("correctness %.4f < min %.4f (%d of %d scans disagreed)",
-			correctness, *t.MinCorrectness, incorrectN, auditedN))
-	}
-	if t.FairnessMaxDelta != nil && fairnessDelta > *t.FairnessMaxDelta {
-		violations = append(violations, fmt.Sprintf("fairness delta %.4f > max %.4f", fairnessDelta, *t.FairnessMaxDelta))
-	}
-	if total == 0 {
-		violations = append(violations, "no compliant traffic ran")
+		"scenario %s: %d compliant requests in %v · %.0f req/s · p50 %v p99 %v · shed %.3f · errors %.3f · correctness %.4f · fairness-delta %.3f\n",
+		sc.Name, s.total, elapsed.Round(time.Millisecond), rps, s.p50.Round(time.Microsecond),
+		s.p99.Round(time.Microsecond), s.shedRate, s.errRate, s.correctness, s.fairnessDelta)
+	if jobs := s.jobsDone + s.jobsFailed; jobs > 0 {
+		fmt.Fprintf(os.Stderr,
+			"attack jobs: %d terminal (%d done, %d failed) · server: %d oracle queries, %d retries, %d breaker opens, %d jobs cancelled\n",
+			jobs, s.jobsDone, s.jobsFailed, post.OracleQueries.Load(), post.OracleRetries.Load(),
+			post.OracleBreaks.Load(), post.JobsCancelled.Load())
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "THRESHOLD VIOLATED: %s\n", v)
 		}
-		return fmt.Errorf("scenario %s failed %d threshold(s)", sc.Name, len(violations))
+		return fmt.Errorf("scenario %s failed %d check(s)", sc.Name, len(violations))
 	}
-	fmt.Fprintf(os.Stderr, "scenario %s: all thresholds met\n", sc.Name)
+	fmt.Fprintf(os.Stderr, "scenario %s: all checks passed\n", sc.Name)
+
+	// One benchmark line per passing run; each (value, unit) pair after
+	// ns/op becomes a benchjson custom metric.
+	nsPerOp := 0.0
+	if s.total > 0 {
+		nsPerOp = float64(elapsed.Nanoseconds()) / float64(s.total)
+	}
+	fmt.Printf("BenchmarkScenario%s %d %.0f ns/op %.1f req/s %d p50-ns %d p99-ns %.4f shed-rate %.4f fairness-delta %.4f correctness%s\n",
+		camelName(sc.Name), s.total, nsPerOp, rps, s.p50.Nanoseconds(), s.p99.Nanoseconds(),
+		s.shedRate, s.fairnessDelta, s.correctness, extra)
 	return nil
 }
 
-// issue performs one request of the given kind and tallies it.
-func (run *scenarioRun) issue(kind, key string, stream, i int, st *streamStats) {
+// phase runs one phase's streams concurrently — that is what makes a
+// contention phase a contention phase — each stream on its own client
+// pool, and firing the phase's reloads from inside the traffic.
+func (run *scenarioRun) phase(ph scenarioPhase, rl *reloader) []streamResult {
+	start := time.Now()
+	var every int64
+	if ph.Reloads > 0 {
+		n := 0
+		for _, st := range ph.Streams {
+			n += st.Requests
+		}
+		every = max(1, int64(n/(ph.Reloads+1)))
+	}
+	var issued atomic.Int64
+	tallies := make([]liveTally, len(ph.Streams))
+	parallel.ForEach(len(ph.Streams), len(ph.Streams), func(si int) {
+		st := ph.Streams[si]
+		key := run.sc.Tenants[st.Tenant]
+		parallel.ForEach(st.Clients, st.Requests, func(i int) {
+			// Swap k fires as the phase's (k·every)-th request starts:
+			// exactly ph.Reloads swaps, evenly spaced, under live traffic.
+			if every > 0 {
+				if k := issued.Add(1); k%every == 0 && k/every <= int64(ph.Reloads) {
+					rl.swap()
+				}
+			}
+			kind := pickKind(st.Traffic, unitRand(run.sc.Seed, si, i))
+			tallies[si].add(run.issue(kind, key, si, i))
+		})
+	})
+	out := make([]streamResult, len(ph.Streams))
+	for si, st := range ph.Streams {
+		out[si] = streamResult{phase: ph.Name, tenant: st.Tenant, noisy: st.Noisy, tally: tallies[si].result()}
+		tag := ""
+		if st.Noisy {
+			tag = " [noisy]"
+		}
+		fmt.Fprintf(os.Stderr, "phase %-12s %s%s: %d ok, %d shed, %d failed (%v)\n",
+			ph.Name, st.Tenant, tag, out[si].ok, out[si].shed, out[si].failed,
+			time.Since(start).Round(time.Millisecond))
+	}
+	return out
+}
+
+// liveTally accumulates one stream's per-request tallies from its client
+// pool.
+type liveTally struct {
+	mu sync.Mutex
+	t  tally //mpass:guardedby mu
+}
+
+func (l *liveTally) add(r tally) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.t.add(r)
+}
+
+func (l *liveTally) result() tally {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.t
+}
+
+// issue performs one request of the given kind.
+func (run *scenarioRun) issue(kind, key string, stream, i int) tally {
 	switch kind {
-	case "scan":
-		run.doScan(run.pool[i%len(run.pool)], key, st, true)
 	case "cachemiss":
 		// A globally unique suffix defeats the score cache, forcing the full
 		// batcher path; the mutated body is still audited for consistency
 		// against any replica that later scores the same bytes.
 		body := append(append([]byte(nil), run.pool[i%len(run.pool)]...),
 			[]byte(fmt.Sprintf("::miss-%d", run.uniq.Add(1)))...)
-		run.doScan(body, key, st, true)
+		return run.doScan(body, key)
 	case "attack":
-		run.doAttack(run.pool[i%len(run.pool)], key, st)
+		return run.doAttack(run.pool[i%len(run.pool)], key)
 	case "stream":
-		run.doStream(key, int64(run.sc.StreamMB)<<20, int64(stream)<<32|int64(i), st)
+		return run.doStream(key, int64(run.sc.StreamMB)<<20, int64(stream)<<32|int64(i))
+	default:
+		return run.doScan(run.pool[i%len(run.pool)], key)
 	}
 }
 
-// doScan POSTs one scan, audits the 200 response's scores for consistency,
-// and checks every 429 for a legal Retry-After.
-func (run *scenarioRun) doScan(body []byte, key string, st *streamStats, timed bool) {
-	t0 := time.Now()
-	req, err := http.NewRequest(http.MethodPost, run.base+"/v1/scan", bytes.NewReader(body))
+// send issues one request under the tenant key ("" = anonymous).
+func (run *scenarioRun) send(method, path string, body io.Reader, key string) (*http.Response, error) {
+	req, err := http.NewRequest(method, run.base+path, body)
 	if err != nil {
-		st.failed.Add(1)
-		return
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if key != "" {
 		req.Header.Set("X-API-Key", key)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	return http.DefaultClient.Do(req)
+}
+
+// failure is the tally of a request that failed outright.
+var failure = tally{failed: 1}
+
+// refused tallies a response that did not serve the request: a 429 is a
+// shed, and every 429 — quota or capacity, replica or gateway — must carry
+// an integer Retry-After >= 1; anything else is a failure.
+func refused(resp *http.Response) tally {
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		return failure
+	}
+	t := tally{shed: 1}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.badRetryAfter = 1
+	}
+	return t
+}
+
+// doScan POSTs one scan and audits the 200 response's scores.
+func (run *scenarioRun) doScan(body []byte, key string) tally {
+	t0 := time.Now()
+	resp, err := run.send(http.MethodPost, "/v1/scan", bytes.NewReader(body), key)
 	if err != nil {
-		st.failed.Add(1)
-		return
+		return failure
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		if timed {
-			st.observe(time.Since(t0))
-		}
-		st.ok.Add(1)
-		run.auditScan(resp.Body, body, st)
-	case resp.StatusCode == http.StatusTooManyRequests:
-		io.Copy(io.Discard, resp.Body)
-		st.shed.Add(1)
-		checkRetryAfter(resp, st)
-	default:
-		io.Copy(io.Discard, resp.Body)
-		st.failed.Add(1)
+	if resp.StatusCode != http.StatusOK {
+		return refused(resp)
 	}
+	t := tally{ok: 1, scanned: 1, audited: 1, lat: []time.Duration{time.Since(t0)}}
+	if !run.auditScan(resp.Body, body) {
+		t.incorrect = 1
+	}
+	return t
 }
 
 // auditScan pins (sha256, model_version) -> scores: the first response
-// wins, and every later response for the same pair must agree exactly.
-func (run *scenarioRun) auditScan(r io.Reader, sent []byte, st *streamStats) {
+// wins, and every later response for the same pair must agree exactly. It
+// also records the model version for the reload audit. An undecodable body
+// is an audit failure — a response the server got wrong.
+func (run *scenarioRun) auditScan(r io.Reader, sent []byte) bool {
 	var doc struct {
 		SHA256       string `json:"sha256"`
 		ModelVersion string `json:"model_version"`
@@ -395,136 +432,154 @@ func (run *scenarioRun) auditScan(r io.Reader, sent []byte, st *streamStats) {
 		} `json:"results"`
 	}
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		// The 200 was already tallied in ok by doScan; tallying failed here
-		// too would double-count the request. An undecodable body is an
-		// audit failure — a response the server got wrong, not a second
-		// request.
-		st.audited.Add(1)
-		st.incorrect.Add(1)
-		return
+		return false
 	}
+	run.versions.Store(doc.ModelVersion, struct{}{})
 	sum := sha256.Sum256(sent)
 	if doc.SHA256 != hex.EncodeToString(sum[:]) {
-		// The server hashed different bytes than we sent.
-		st.incorrect.Add(1)
-		st.audited.Add(1)
-		return
+		return false // the server hashed different bytes than we sent
 	}
 	var fp strings.Builder
 	for _, res := range doc.Results {
 		fmt.Fprintf(&fp, "%s=%x;", res.Model, res.Score)
 	}
-	keyStr := doc.SHA256 + "|" + doc.ModelVersion
-	st.audited.Add(1)
-	if prev, loaded := run.scores.LoadOrStore(keyStr, fp.String()); loaded && prev.(string) != fp.String() {
-		st.incorrect.Add(1)
-	}
+	prev, loaded := run.scores.LoadOrStore(doc.SHA256+"|"+doc.ModelVersion, fp.String())
+	return !loaded || prev.(string) == fp.String()
 }
 
-// doAttack submits one attack job and polls it to a terminal state; a 429
-// at submission is a shed, a job stuck outside a terminal state a failure.
-func (run *scenarioRun) doAttack(body []byte, key string, st *streamStats) {
-	req, err := http.NewRequest(http.MethodPost, run.base+"/v1/attack", bytes.NewReader(body))
+// doAttack submits one attack job and polls it to a terminal state. Both
+// terminal states are served requests — an attack that ran its budget and
+// lost is not a serving failure — but the state is recorded for the job
+// failure-rate gate. A job stuck outside a terminal state is a failure:
+// the lifecycle hardening exists precisely so that cannot happen.
+func (run *scenarioRun) doAttack(body []byte, key string) tally {
+	resp, err := run.send(http.MethodPost, "/v1/attack", bytes.NewReader(body), key)
 	if err != nil {
-		st.failed.Add(1)
-		return
+		return failure
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	rbody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests:
-		st.shed.Add(1)
-		checkRetryAfter(resp, st)
-		return
-	case http.StatusAccepted:
-	default:
-		st.failed.Add(1)
-		return
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return refused(resp)
 	}
 	var acc struct {
 		Poll string `json:"poll"`
 	}
-	if err := json.Unmarshal(rbody, &acc); err != nil || acc.Poll == "" {
-		st.failed.Add(1)
-		return
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil || acc.Poll == "" {
+		return failure
 	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		presp, err := authedGet(run.base+acc.Poll, key)
-		if err != nil {
-			st.failed.Add(1)
-			return
-		}
-		var v struct {
-			State string `json:"state"`
-		}
-		err = json.NewDecoder(presp.Body).Decode(&v)
-		presp.Body.Close()
-		if err != nil {
-			st.failed.Add(1)
-			return
-		}
-		// Both terminal states count as ok: an attack that ran its budget
-		// and lost is a served request, not a serving failure.
-		if v.State == "done" || v.State == "failed" {
-			st.ok.Add(1)
-			return
+		switch state, err := run.jobState(acc.Poll, key); {
+		case err != nil:
+			return failure
+		case state == "done":
+			return tally{ok: 1, jobsDone: 1}
+		case state == "failed":
+			return tally{ok: 1, jobsFailed: 1}
 		}
 		if time.Now().After(deadline) {
-			st.failed.Add(1)
-			return
+			return failure
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 }
 
-// doStream POSTs one chunked upload of size bytes (unknown Content-Length,
-// so the replica must take the O(chunk) streaming path).
-func (run *scenarioRun) doStream(key string, size, seed int64, st *streamStats) {
-	req, err := http.NewRequest(http.MethodPost, run.base+"/v1/scan",
-		&patternBody{remaining: size, state: uint64(seed) | 1})
+// jobState polls one job record.
+func (run *scenarioRun) jobState(poll, key string) (string, error) {
+	resp, err := run.send(http.MethodGet, poll, nil, key)
 	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		st.failed.Add(1)
-		return
+		return "", err
 	}
 	defer resp.Body.Close()
+	var v struct {
+		State string `json:"state"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	return v.State, err
+}
+
+// doStream POSTs one chunked upload of size bytes (unknown Content-Length,
+// so the replica must take the O(chunk) streaming path).
+func (run *scenarioRun) doStream(key string, size, seed int64) tally {
+	resp, err := run.send(http.MethodPost, "/v1/scan", &patternBody{remaining: size, state: uint64(seed) | 1}, key)
+	if err != nil {
+		return failure
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return refused(resp)
+	}
 	io.Copy(io.Discard, resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		st.ok.Add(1)
-	case http.StatusTooManyRequests:
-		st.shed.Add(1)
-		checkRetryAfter(resp, st)
+	return tally{ok: 1, scanned: 1, streamed: 1}
+}
+
+// patternBody generates pseudo-random bytes on the fly, so the client never
+// holds the upload either — both ends of the wire stay O(chunk).
+type patternBody struct {
+	remaining int64
+	state     uint64
+}
+
+func (r *patternBody) Read(p []byte) (int, error) {
+	if r.remaining <= 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if int64(n) > r.remaining {
+		n = int(r.remaining)
+	}
+	for i := 0; i < n; i++ {
+		r.state = r.state*6364136223846793005 + 1442695040888963407
+		p[i] = byte(r.state >> 56)
+	}
+	r.remaining -= int64(n)
+	return n, nil
+}
+
+// reloader fires a run's model swaps from inside its traffic and keeps the
+// ledger auditReloads checks afterwards.
+type reloader struct {
+	base string
+	mu   sync.Mutex
+	log  reloadLog //mpass:guardedby mu
+}
+
+// swap POSTs one reload. It must land: a 501 (no loader configured) or
+// 422 (certification refused) under a reload phase is a deployment bug,
+// not load shedding, so the first failure is recorded and ends the swaps.
+func (rl *reloader) swap() {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if rl.log.err != nil {
+		return
+	}
+	resp, err := http.Post(rl.base+"/v1/models/reload", "application/octet-stream", nil)
+	if err != nil {
+		rl.log.err = fmt.Errorf("reload %d: %w", rl.log.swaps+1, err)
+		return
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var doc struct {
+		Swapped      bool   `json:"swapped"`
+		ModelVersion string `json:"model_version"`
+	}
+	switch {
+	case resp.StatusCode != http.StatusOK:
+		rl.log.err = fmt.Errorf("reload %d: status %d: %s", rl.log.swaps+1, resp.StatusCode, body)
+	case json.Unmarshal(body, &doc) != nil || !doc.Swapped || doc.ModelVersion == "":
+		rl.log.err = fmt.Errorf("reload %d: server answered 200 without swapping: %s", rl.log.swaps+1, body)
 	default:
-		st.failed.Add(1)
+		rl.log.swaps++
+		rl.log.last = doc.ModelVersion
+		rl.log.served[doc.ModelVersion] = true
 	}
 }
 
-// checkRetryAfter enforces the shed contract: every 429 — quota or
-// capacity, replica or gateway — must carry an integer Retry-After >= 1.
-func checkRetryAfter(resp *http.Response, st *streamStats) {
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 1 {
-		st.badRetryAfter.Add(1)
-	}
+func (rl *reloader) snapshot() reloadLog {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	return rl.log
 }
 
 // pickKind selects a traffic kind from the weighted mix. Kinds are walked

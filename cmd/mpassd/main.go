@@ -4,11 +4,10 @@
 // POST /v1/scan, async MPass attack jobs on POST /v1/attack, zero-downtime
 // model hot-reload on POST /v1/models/reload, plus /healthz and /metrics.
 //
-// -models accepts either form: a legacy monolithic gob from
-// `mpass-train -out models.gob`, or a directory of per-engine envelopes from
-// `mpass-train -out-dir models/`. When the path is absent, engines are
-// trained in-process from the seed and saved back (legacy file for a .gob
-// path, per-engine envelopes otherwise) so the next start is fast:
+// -models names a directory of per-engine envelopes, as written by
+// `mpass-train -out-dir models/` (or a single envelope file). When the path
+// is absent, engines are trained in-process from the seed and saved there
+// as envelopes, so the next start is fast:
 //
 //	mpass-train -out-dir models/
 //	mpassd -models models/ -addr 127.0.0.1:8877
@@ -32,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -53,7 +51,7 @@ func main() {
 
 	addr := flag.String("addr", "127.0.0.1:8877", "listen address (port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address here once listening (for scripts using port 0)")
-	models := flag.String("models", "", "model path: legacy suite gob or per-engine envelope dir; loaded if present, else trained and saved here")
+	models := flag.String("models", "", "model path: per-engine envelope dir; loaded if present, else trained and saved here")
 	withRNN := flag.Bool("rnn", false, "also serve the RNN perplexity engine (trained in-process when not in the model path)")
 	seed := flag.Int64("seed", 1, "corpus/training seed when models are trained in-process")
 	nMal := flag.Int("malware", 60, "malware samples in the training corpus")
@@ -266,12 +264,10 @@ wait:
 	log.Printf("drained cleanly")
 }
 
-// loadOrTrain resolves the resident engine set: load the model path (legacy
-// suite gob or per-engine envelope directory) when it exists, otherwise
-// train from the seed and persist when a path was given — a legacy suite
-// file for a .gob path, per-engine envelopes for anything else. -rnn adds
-// the RNN perplexity engine, training it in-process when the loaded set
-// lacks one.
+// loadOrTrain resolves the resident engine set: load the model path when it
+// exists, otherwise train from the seed and persist per-engine envelopes
+// there when a path was given. -rnn adds the RNN perplexity engine,
+// training it in-process when the loaded set lacks one.
 func loadOrTrain(path string, seed int64, nMal, nBen, workers int, withRNN bool) (*engine.Set, error) {
 	var set *engine.Set
 	trained := false
@@ -330,41 +326,12 @@ func loadOrTrain(path string, seed int64, nMal, nBen, workers int, withRNN bool)
 	}
 
 	if trained && path != "" {
-		if err := saveModels(path, set); err != nil {
+		if err := engine.SaveDir(path, set); err != nil {
 			return nil, fmt.Errorf("saving %s: %w", path, err)
 		}
 		log.Printf("saved models to %s", path)
 	}
 	return set, nil
-}
-
-// saveModels persists a freshly trained set: a .gob path keeps the legacy
-// monolithic suite form (runtime-only engines like the RNN cannot ride along
-// there — use a directory to persist them), anything else becomes a
-// directory of per-engine envelopes.
-func saveModels(path string, set *engine.Set) error {
-	if strings.HasSuffix(path, ".gob") {
-		suite := &detect.Suite{}
-		for _, d := range set.Drivers() {
-			switch t := d.(type) {
-			case *engine.ConvDriver:
-				switch t.Name() {
-				case "MalConv":
-					suite.MalConv = t.ConvDetector
-				case "NonNeg":
-					suite.NonNeg = t.ConvDetector
-				case "MalGCG":
-					suite.MalGCG = t.ConvDetector
-				}
-			case *engine.GBDTDriver:
-				suite.LGBM = t.GBDTDetector
-			default:
-				log.Printf("warning: engine %s is not part of the legacy suite form; use a -models directory to persist it", d.Name())
-			}
-		}
-		return detect.SaveSuiteFile(path, suite)
-	}
-	return engine.SaveDir(path, set)
 }
 
 func modelSource(path string) string {

@@ -222,8 +222,8 @@ func (d *detectorDriver) Health() error { return nil }
 func (d *detectorDriver) Unwrap() detect.Detector { return d.Detector }
 
 // FromSuite wraps the trained offline suite into a driver Set, preserving
-// the paper's §IV-A order. This is the bridge from the legacy monolithic
-// models.gob to the per-engine world: load the suite, wrap it, serve it.
+// the paper's §IV-A order: the bridge from a freshly trained suite to the
+// per-engine world.
 func FromSuite(s *detect.Suite) (*Set, error) {
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil suite")

@@ -1,11 +1,11 @@
 // Per-engine persistence: each driver serializes into its own versioned gob
 // envelope — magic, format version, engine kind, name, suite order, and the
-// weight payload — replacing the monolithic suite blob. Files are written
-// atomically (temp + rename, like detect.SaveSuiteFile), a directory of
-// envelopes round-trips as a Set, and LoadPath still reads a legacy
-// models.gob by wrapping the decoded suite in drivers. The envelope digest
-// doubles as the engine version, so a load always advertises exactly what is
-// on disk.
+// weight payload. Files are written atomically (temp + rename), and a
+// directory of envelopes round-trips as a Set. The envelope digest doubles as
+// the engine version, so a load always advertises exactly what is on disk.
+// Decoding ends with every ConvNet's weight version bumped, so the
+// lookup-table fast paths (and any fixed-point tables, which are never
+// persisted) rebuild from the loaded weights.
 package engine
 
 import (
@@ -228,10 +228,9 @@ func LoadDir(dir string) (*Set, error) {
 	return NewSet(drivers...)
 }
 
-// LoadPath resolves a model path of either form: a directory of per-engine
-// envelopes, a single engine envelope, or a legacy monolithic suite gob
-// (detect.SaveSuiteFile), which loads wrapped in drivers. The returned
-// source string describes what was read, for logs.
+// LoadPath resolves a model path: a directory of per-engine envelopes or a
+// single engine envelope. The returned source string describes what was
+// read, for logs.
 func LoadPath(path string) (*Set, string, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -244,17 +243,9 @@ func LoadPath(path string) (*Set, string, error) {
 		}
 		return s, fmt.Sprintf("%s (dir, %d engines)", path, s.Len()), nil
 	}
-	// A file: legacy suite first (the common case), then a lone envelope.
-	if suite, serr := detect.LoadSuiteFile(path); serr == nil {
-		s, err := FromSuite(suite)
-		if err != nil {
-			return nil, "", err
-		}
-		return s, fmt.Sprintf("%s (legacy suite)", path), nil
-	}
 	d, _, err := LoadEngineFile(path)
 	if err != nil {
-		return nil, "", fmt.Errorf("engine: %s is neither a suite gob nor an engine envelope: %w", path, err)
+		return nil, "", fmt.Errorf("engine: %s is not an engine envelope (a legacy monolithic suite gob is no longer read; re-save with mpass-train -out-dir): %w", path, err)
 	}
 	s, err := NewSet(d)
 	if err != nil {

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mpass/internal/detect"
+	"mpass/internal/nn"
 )
 
 // TestEnvelopeRoundTripBitIdentity is the per-engine persistence gate: for
@@ -39,6 +41,12 @@ func TestEnvelopeRoundTripBitIdentity(t *testing.T) {
 		}
 		if loaded.Threshold() != d.Threshold() {
 			t.Fatalf("%s: threshold %v survived as %v", d.Name(), d.Threshold(), loaded.Threshold())
+		}
+		if c, ok := d.(*ConvDriver); ok {
+			lc := loaded.(*ConvDriver)
+			if lc.SeqLen() != c.SeqLen() || lc.EmbedDim() != c.EmbedDim() {
+				t.Fatalf("%s: gradient-model geometry changed across the round trip", d.Name())
+			}
 		}
 		if err := loaded.Health(); err != nil {
 			t.Fatalf("%s: unhealthy after load: %v", d.Name(), err)
@@ -125,6 +133,78 @@ func TestLoadEngineRejectsBadEnvelopes(t *testing.T) {
 	}
 }
 
+// TestLoadEngineRejectsDamagedStream: an envelope cut off at any point, or
+// with a flipped byte in its magic, must fail loudly — never yield a
+// partially initialized engine.
+func TestLoadEngineRejectsDamagedStream(t *testing.T) {
+	suite, _, _ := fixtures(t)
+	conv, err := NewConvDriver(suite.MalConv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveEngine(&buf, conv, 0); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.999} {
+		n := int(frac * float64(len(full)))
+		if _, _, err := LoadEngine(bytes.NewReader(full[:n])); err == nil {
+			t.Errorf("LoadEngine accepted a stream truncated to %d/%d bytes", n, len(full))
+		}
+	}
+	i := bytes.Index(full, []byte(engineMagic))
+	if i < 0 {
+		t.Fatal("magic string not found in encoded stream")
+	}
+	corrupt := append([]byte(nil), full...)
+	corrupt[i] ^= 0xFF
+	if _, _, err := LoadEngine(bytes.NewReader(corrupt)); err == nil {
+		t.Error("LoadEngine accepted a stream with corrupted magic")
+	}
+}
+
+// TestEnvelopeQuantRoundTrip: fixed-point tables are runtime-only. An
+// engine saved while serving int32 must load on the float64 reference
+// path, score bit-identically to its float64 source, and — once the mode
+// is re-applied — rebuild quant tables that agree with the source's.
+func TestEnvelopeQuantRoundTrip(t *testing.T) {
+	suite, _, raws := fixtures(t)
+	conv, err := NewConvDriver(suite.MalConv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conv.SetQuantMode(nn.QuantOff)
+	conv.SetQuantMode(nn.QuantInt32)
+	var buf bytes.Buffer
+	if err := SaveEngine(&buf, conv, 0); err != nil {
+		t.Fatalf("SaveEngine with quant enabled: %v", err)
+	}
+	quantScores := conv.ScoreBatch(raws)
+	conv.SetQuantMode(nn.QuantOff)
+	floatScores := conv.ScoreBatch(raws)
+
+	loaded, _, err := LoadEngine(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("LoadEngine: %v", err)
+	}
+	for j, raw := range raws {
+		if got := loaded.Score(raw); got != floatScores[j] {
+			t.Fatalf("sample %d: loaded float score %v != source %v", j, got, floatScores[j])
+		}
+	}
+	q, ok := QuantizerOf(loaded)
+	if !ok {
+		t.Fatal("loaded conv engine is not quantizable")
+	}
+	q.SetQuantMode(nn.QuantInt32)
+	for j, raw := range raws {
+		if got := loaded.Score(raw); got != quantScores[j] {
+			t.Fatalf("sample %d: loaded quant score %v != source quant %v", j, got, quantScores[j])
+		}
+	}
+}
+
 // TestSaveDirLoadDirRoundTrip: a directory of envelopes must rebuild the
 // exact set — same order, same names, same per-engine versions, and
 // therefore the same set version.
@@ -198,10 +278,11 @@ func TestLoadDirOrdersByRecordedIndex(t *testing.T) {
 	}
 }
 
-// TestLoadPathResolvesAllForms: directory of envelopes, legacy monolithic
-// suite gob, lone envelope file — and refuses everything else.
+// TestLoadPathResolvesAllForms: directory of envelopes and lone envelope
+// file load; a legacy monolithic suite gob, junk, and a missing path are
+// refused.
 func TestLoadPathResolvesAllForms(t *testing.T) {
-	suite, _, raws := fixtures(t)
+	suite, _, _ := fixtures(t)
 	set, err := FromSuite(suite)
 	if err != nil {
 		t.Fatal(err)
@@ -222,30 +303,22 @@ func TestLoadPathResolvesAllForms(t *testing.T) {
 		t.Fatalf("dir load version %s != %s", fromDir.Version(), set.Version())
 	}
 
-	legacy := filepath.Join(t.TempDir(), "models.gob")
-	if err := detect.SaveSuiteFile(legacy, suite); err != nil {
+	// The retired monolithic suite gob ({Magic, Version, Suite}) is
+	// refused with an error that names the way forward.
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(struct {
+		Magic   string
+		Version int
+		Suite   *detect.Suite
+	}{"mpass-models", 1, suite}); err != nil {
 		t.Fatal(err)
 	}
-	fromLegacy, src, err := LoadPath(legacy)
-	if err != nil {
-		t.Fatalf("LoadPath(legacy): %v", err)
+	legacyPath := filepath.Join(t.TempDir(), "models.gob")
+	if err := os.WriteFile(legacyPath, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(src, "legacy") {
-		t.Fatalf("legacy source = %q", src)
-	}
-	for i, name := range set.Names() {
-		if fromLegacy.Names()[i] != name {
-			t.Fatalf("legacy load order %v, want %v", fromLegacy.Names(), set.Names())
-		}
-	}
-	// The two load forms score bit-identically: same weights, either wrapper.
-	for i, d := range fromLegacy.Drivers() {
-		dd := fromDir.Drivers()[i]
-		for _, raw := range raws[:4] {
-			if d.Score(raw) != dd.Score(raw) {
-				t.Fatalf("%s: legacy-form score != envelope-form score", d.Name())
-			}
-		}
+	if _, _, err := LoadPath(legacyPath); err == nil || !strings.Contains(err.Error(), "legacy monolithic suite gob is no longer read") {
+		t.Fatalf("LoadPath(legacy suite gob) err = %v, want a clear legacy-format rejection", err)
 	}
 
 	lone := filepath.Join(t.TempDir(), "malconv.engine.gob")

@@ -6,7 +6,8 @@ import (
 	"fmt"
 )
 
-// Gob persistence for trained ensembles (detect.SaveSuite / LoadSuite).
+// Gob persistence for trained ensembles (the payload of an engine envelope,
+// internal/engine).
 //
 // Trees are stored in structure-of-arrays form — one slice per node field,
 // indexed like the flattened node slice — so the format has no unexported

@@ -8,7 +8,8 @@ import (
 	"mpass/internal/tensor"
 )
 
-// Gob persistence for trained networks (detect.SaveSuite / LoadSuite).
+// Gob persistence for trained networks (the payload of an engine envelope,
+// internal/engine).
 //
 // Only the architecture and the trained parameters travel: gradient
 // accumulators, scratch pools, inference tables, and the Workers knob are
