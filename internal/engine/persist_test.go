@@ -42,12 +42,6 @@ func TestEnvelopeRoundTripBitIdentity(t *testing.T) {
 		if loaded.Threshold() != d.Threshold() {
 			t.Fatalf("%s: threshold %v survived as %v", d.Name(), d.Threshold(), loaded.Threshold())
 		}
-		if c, ok := d.(*ConvDriver); ok {
-			lc := loaded.(*ConvDriver)
-			if lc.SeqLen() != c.SeqLen() || lc.EmbedDim() != c.EmbedDim() {
-				t.Fatalf("%s: gradient-model geometry changed across the round trip", d.Name())
-			}
-		}
 		if err := loaded.Health(); err != nil {
 			t.Fatalf("%s: unhealthy after load: %v", d.Name(), err)
 		}
@@ -133,10 +127,58 @@ func TestLoadEngineRejectsBadEnvelopes(t *testing.T) {
 	}
 }
 
-// TestLoadEngineRejectsDamagedStream: an envelope cut off at any point, or
-// with a flipped byte in its magic, must fail loudly — never yield a
-// partially initialized engine.
-func TestLoadEngineRejectsDamagedStream(t *testing.T) {
+// TestLoadEngineRejectsGarbage: bytes that are not an envelope — empty,
+// text, a gob of some other value — are refused, and a suite with no
+// trained models yields no set to persist.
+func TestLoadEngineRejectsGarbage(t *testing.T) {
+	var other bytes.Buffer
+	if err := gob.NewEncoder(&other).Encode(map[string]int{"weights": 1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string][]byte{
+		"empty":     nil,
+		"text":      []byte("not a gob stream"),
+		"other gob": other.Bytes(),
+	} {
+		if _, _, err := LoadEngine(bytes.NewReader(raw)); err == nil {
+			t.Errorf("LoadEngine accepted %s input", name)
+		}
+	}
+	if _, err := FromSuite(&detect.Suite{}); err == nil {
+		t.Fatal("FromSuite accepted an empty suite")
+	}
+}
+
+// TestLoadEngineTruncatedStream: an envelope cut off at any point must fail
+// loudly, never yield a partially initialized engine.
+func TestLoadEngineTruncatedStream(t *testing.T) {
+	full := convEnvelope(t)
+	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.999} {
+		n := int(frac * float64(len(full)))
+		if _, _, err := LoadEngine(bytes.NewReader(full[:n])); err == nil {
+			t.Errorf("LoadEngine accepted a stream truncated to %d/%d bytes", n, len(full))
+		}
+	}
+}
+
+// TestLoadEngineCorruptMagic: a flipped byte in the envelope magic must be
+// rejected as "not an engine file".
+func TestLoadEngineCorruptMagic(t *testing.T) {
+	full := convEnvelope(t)
+	i := bytes.Index(full, []byte(engineMagic))
+	if i < 0 {
+		t.Fatal("magic string not found in encoded stream")
+	}
+	corrupt := append([]byte(nil), full...)
+	corrupt[i] ^= 0xFF
+	if _, _, err := LoadEngine(bytes.NewReader(corrupt)); err == nil {
+		t.Error("LoadEngine accepted a stream with corrupted magic")
+	}
+}
+
+// convEnvelope is the encoded envelope of the fixture suite's MalConv.
+func convEnvelope(t *testing.T) []byte {
+	t.Helper()
 	suite, _, _ := fixtures(t)
 	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
@@ -146,21 +188,56 @@ func TestLoadEngineRejectsDamagedStream(t *testing.T) {
 	if err := SaveEngine(&buf, conv, 0); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.999} {
-		n := int(frac * float64(len(full)))
-		if _, _, err := LoadEngine(bytes.NewReader(full[:n])); err == nil {
-			t.Errorf("LoadEngine accepted a stream truncated to %d/%d bytes", n, len(full))
+	return buf.Bytes()
+}
+
+// TestSuiteEnvelopeRoundTripParity: a trained suite saved as a directory of
+// envelopes and loaded back scores and labels bit-identically, member by
+// member, through the batched and single-sample paths, and keeps its
+// thresholds and gradient-model geometry.
+func TestSuiteEnvelopeRoundTripParity(t *testing.T) {
+	suite, _, raws := fixtures(t)
+	set, err := FromSuite(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := SaveDir(dir, set); err != nil {
+		t.Fatalf("SaveDir: %v", err)
+	}
+	loaded, err := LoadDir(dir)
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if loaded.Len() != set.Len() {
+		t.Fatalf("%d engines loaded, want %d", loaded.Len(), set.Len())
+	}
+	for i, d := range set.Drivers() {
+		ld := loaded.Drivers()[i]
+		if ld.Name() != d.Name() {
+			t.Fatalf("engine %d: loaded name %q != %q", i, ld.Name(), d.Name())
 		}
-	}
-	i := bytes.Index(full, []byte(engineMagic))
-	if i < 0 {
-		t.Fatal("magic string not found in encoded stream")
-	}
-	corrupt := append([]byte(nil), full...)
-	corrupt[i] ^= 0xFF
-	if _, _, err := LoadEngine(bytes.NewReader(corrupt)); err == nil {
-		t.Error("LoadEngine accepted a stream with corrupted magic")
+		if ld.Threshold() != d.Threshold() {
+			t.Fatalf("%s: threshold %v survived as %v", d.Name(), d.Threshold(), ld.Threshold())
+		}
+		if c, ok := d.(*ConvDriver); ok {
+			lc := ld.(*ConvDriver)
+			if lc.SeqLen() != c.SeqLen() || lc.EmbedDim() != c.EmbedDim() {
+				t.Fatalf("%s: gradient-model geometry changed across the round trip", d.Name())
+			}
+		}
+		want, got := d.ScoreBatch(raws), ld.ScoreBatch(raws)
+		for j, raw := range raws {
+			if got[j] != want[j] {
+				t.Fatalf("%s sample %d: loaded batch score %v != original %v", d.Name(), j, got[j], want[j])
+			}
+			if s := ld.Score(raw); s != want[j] {
+				t.Fatalf("%s sample %d: loaded single-sample score %v != original %v", d.Name(), j, s, want[j])
+			}
+			if ld.Label(raw) != d.Label(raw) {
+				t.Fatalf("%s sample %d: loaded label flipped", d.Name(), j)
+			}
+		}
 	}
 }
 
