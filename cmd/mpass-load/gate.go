@@ -126,11 +126,10 @@ func violationf(format string, args ...any) violation {
 	return violation(fmt.Sprintf(format, args...))
 }
 
-// judge applies the scenario's thresholds to the streams' tallies. Two
-// gates need no threshold: every 429 must carry a legal Retry-After, and
-// some compliant request must succeed.
-func judge(results []streamResult, t thresholds) []violation {
-	s := summarize(results)
+// judge applies the scenario's thresholds to the run's summary. Two gates
+// need no threshold: every 429 must carry a legal Retry-After, and some
+// compliant request must succeed.
+func judge(s summary, t thresholds) []violation {
 	var v []violation
 	if s.badRetryAfter > 0 {
 		v = append(v, violationf("%d 429 responses lacked an integer Retry-After >= 1", s.badRetryAfter))

@@ -126,7 +126,7 @@ func TestJudge(t *testing.T) {
 			t: thresholds{MaxErrorRate: ptr(0)},
 		},
 	} {
-		got := judge(tc.results, tc.t)
+		got := judge(summarize(tc.results), tc.t)
 		switch {
 		case tc.want == "" && len(got) != 0:
 			t.Errorf("%s: unexpected violations %q", tc.name, got)

@@ -226,7 +226,8 @@ func runScenario(base, path string, maxP99Override time.Duration) error {
 		return err
 	}
 
-	violations := judge(results, t)
+	s := summarize(results)
+	violations := judge(s, t)
 	swaps := 0
 	if rl != nil {
 		l := rl.snapshot()
@@ -255,7 +256,6 @@ func runScenario(base, path string, maxP99Override time.Duration) error {
 		extra += fmt.Sprintf(" %d reloads", swaps)
 	}
 
-	s := summarize(results)
 	rps := float64(s.total) / elapsed.Seconds()
 	fmt.Fprintf(os.Stderr,
 		"scenario %s: %d compliant requests in %v · %.0f req/s · p50 %v p99 %v · shed %.3f · errors %.3f · correctness %.4f · fairness-delta %.3f\n",
