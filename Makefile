@@ -26,7 +26,7 @@ BENCHJSON_FORCE = $(if $(FORCE_BENCH),-force,)
 
 .PHONY: all build vet lint lint-bench test race race-all bench bench-full \
         bench-json quant-gate alloc serve-smoke serve-faults reload-smoke \
-        cluster-smoke scenario-gate ci
+        cluster-smoke scenario-gate perfbench ci
 
 all: build
 
@@ -142,4 +142,10 @@ cluster-smoke:
 scenario-gate:
 	FORCE_BENCH=$(FORCE_BENCH) sh scripts/drill.sh scenario $(SCENARIO_BENCH_JSON)
 
-ci: build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate
+# perfbench builds, vets and unit-tests the benchmark module (perfbench/,
+# its own Go module), so a program change that breaks what the benchmark
+# uses fails here rather than in a benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
+
+ci: build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench

@@ -60,8 +60,7 @@ func main() {
 	donors := flag.Int("donors", 64, "benign-donor pool size for attack jobs")
 	maxQueries := flag.Int("max-queries", 100, "per-job oracle query budget")
 
-	maxBatch := flag.Int("max-batch", 32, "max scans per coalesced batch")
-	window := flag.Duration("batch-window", 2*time.Millisecond, "batching window after the first request")
+	maxBatch := flag.Int("max-batch", 32, "max scans per coalesced batch; a flush takes only what is already queued, never waiting for more")
 	scanQueue := flag.Int("scan-queue", 256, "scan admission queue; full sheds with 429")
 	cacheSize := flag.Int("cache", 4096, "score-cache entries (0 disables)")
 	attackWorkers := flag.Int("attack-workers", 2, "concurrent attack jobs")
@@ -148,7 +147,6 @@ func main() {
 			return next, nil
 		},
 		MaxBatch:        *maxBatch,
-		BatchWindow:     *window,
 		ScanQueue:       *scanQueue,
 		CacheSize:       *cacheSize,
 		AttackWorkers:   *attackWorkers,

@@ -144,11 +144,13 @@ type Gateway struct {
 	ring   atomic.Pointer[ring]
 	ringMu sync.Mutex // serializes rebuilds; lookups are lock-free
 
-	metrics  Metrics
-	probes   *parallel.Pool
-	draining atomic.Bool
-	started  time.Time
-	mux      *http.ServeMux
+	metrics Metrics
+	// Recently routed scans and attacks, the Retry-After drain rates.
+	scanDrain, attackDrain *server.DrainRate
+	probes                 *parallel.Pool
+	draining               atomic.Bool
+	started                time.Time
+	mux                    *http.ServeMux
 }
 
 // New validates cfg, builds the ring over the full fleet (replicas start
@@ -159,10 +161,13 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: no replicas configured")
 	}
 	cfg.fillDefaults()
+	now := time.Now()
 	g := &Gateway{
-		cfg:     cfg,
-		byName:  make(map[string]int, len(cfg.Replicas)),
-		started: time.Now(),
+		cfg:         cfg,
+		byName:      make(map[string]int, len(cfg.Replicas)),
+		scanDrain:   server.NewDrainRate(now),
+		attackDrain: server.NewDrainRate(now),
+		started:     now,
 	}
 	for i, addr := range cfg.Replicas {
 		if addr == "" {

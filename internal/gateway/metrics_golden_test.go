@@ -78,7 +78,7 @@ func getDoc(t *testing.T, url string) map[string]any {
 }
 
 // stripLatency replaces the wall-clock-dependent parts of every
-// scan_latency histogram in a live document — the mean and the bucket a
+// scan_latency and batch_wait histogram in a live document — the mean and the bucket a
 // scan landed in — with the facts that are deterministic: whether the mean
 // is positive and that the buckets sum to the count.
 func stripLatency(t *testing.T, v any) {
@@ -86,7 +86,7 @@ func stripLatency(t *testing.T, v any) {
 	switch x := v.(type) {
 	case map[string]any:
 		for k, child := range x {
-			if h, ok := child.(map[string]any); ok && k == "scan_latency" {
+			if h, ok := child.(map[string]any); ok && (k == "scan_latency" || k == "batch_wait") {
 				var sum float64
 				for _, c := range h["counts"].([]any) {
 					sum += c.(float64)

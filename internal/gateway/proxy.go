@@ -21,8 +21,6 @@ import (
 	"os"
 	"strconv"
 	"time"
-
-	"mpass/internal/server"
 )
 
 // payload is one upload, fully received and hashed, replayable per attempt.
@@ -161,13 +159,6 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	io.Copy(w, resp.Body)
 }
 
-// retryAfter is the cluster-level form of the replica estimator: summed
-// backlog across healthy replicas divided by the observed cluster
-// completion rate — the same pure function, fleet-wide inputs.
-func (g *Gateway) retryAfter(backlog int, completed int64) string {
-	return strconv.Itoa(server.RetryAfterSecs(backlog, completed, time.Since(g.started).Seconds()))
-}
-
 // clusterBacklogs sums the probed queue depths across healthy replicas.
 func (g *Gateway) clusterBacklogs() (scanQueue, jobsPending int) {
 	for _, rep := range g.replicas {
@@ -181,16 +172,18 @@ func (g *Gateway) clusterBacklogs() (scanQueue, jobsPending int) {
 	return scanQueue, jobsPending
 }
 
-// retryAfterScan derives the cluster scan-shed hint.
+// retryAfterScan derives the cluster scan-shed hint: the replica estimator
+// over fleet-wide inputs, the summed backlog of the healthy replicas and
+// the recent cluster routing rate.
 func (g *Gateway) retryAfterScan() string {
 	backlog, _ := g.clusterBacklogs()
-	return g.retryAfter(backlog, g.metrics.ScansRouted.Load())
+	return strconv.Itoa(g.scanDrain.RetryAfterSecs(backlog, time.Now()))
 }
 
 // retryAfterAttack derives the cluster attack-shed hint.
 func (g *Gateway) retryAfterAttack() string {
 	_, backlog := g.clusterBacklogs()
-	return g.retryAfter(backlog, g.metrics.AttacksRouted.Load())
+	return strconv.Itoa(g.attackDrain.RetryAfterSecs(backlog, time.Now()))
 }
 
 // retriable reports whether a forward error warrants the one retry on a
@@ -236,6 +229,7 @@ func (g *Gateway) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	auth := authFrom(r)
 	g.metrics.ScansRouted.Add(1)
+	g.scanDrain.Add(time.Now(), 1)
 	resp, err := g.forward(ctx, g.replicas[primary], "/v1/scan", r.URL.RawQuery, p, auth)
 	if retriable(ctx, err) {
 		// The owner vanished mid-request: mark it down (the prober will
@@ -384,6 +378,7 @@ func (g *Gateway) handleAttack(w http.ResponseWriter, r *http.Request) {
 	}
 	rep := g.replicas[idx]
 	g.metrics.AttacksRouted.Add(1)
+	g.attackDrain.Add(time.Now(), 1)
 	acc.ID = rep.name + "/" + acc.ID
 	acc.Poll = "/v1/jobs/" + acc.ID
 	writeJSON(w, http.StatusAccepted, acc)

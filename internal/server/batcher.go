@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpass/internal/detect"
+	"mpass/internal/parallel"
 )
 
 // Batcher is the micro-batching dispatcher: concurrent scan requests are
@@ -15,11 +16,13 @@ import (
 // amortize across requests instead of being paid once per HTTP call.
 //
 // A single dispatcher goroutine alternates between collecting a batch —
-// until MaxBatch requests are in hand or Window has passed since the first
-// — and flushing it. While a flush is scoring, new arrivals queue in the
-// submission channel, which is what builds the next coalesced batch under
-// load. The channel is bounded: when it is full, Score fails fast with
-// ErrOverloaded and the HTTP layer sheds the request with a 429.
+// the first request plus whatever is already queued behind it, up to
+// MaxBatch, without waiting for more — and flushing it. While a flush is
+// scoring, new arrivals queue in the submission channel, which is what
+// builds the next coalesced batch under load; an idle dispatcher never
+// holds a request back. The channel is bounded: when it is full, Score
+// fails fast with ErrOverloaded and the HTTP layer sheds the request with
+// a 429.
 //
 // Scores are bit-identical to calling Detector.Score per sample: the
 // dispatcher only regroups inputs, and the ScoreBatch implementations carry
@@ -31,8 +34,8 @@ type Batcher struct {
 	// the batch is being collected.
 	src     func() *modelSet
 	max     int
-	window  time.Duration
 	metrics *Metrics
+	drained *DrainRate // flushed requests; the scan-shed Retry-After hint
 
 	mu     sync.RWMutex // guards closed vs. in-flight submissions
 	closed bool         //mpass:guardedby mu
@@ -52,6 +55,7 @@ type scanOut struct {
 
 type scanReq struct {
 	raw []byte
+	enq time.Time    // when Score or ScoreWait queued it; starts batch_wait
 	out chan scanOut // buffered; the dispatcher never blocks on delivery
 }
 
@@ -64,15 +68,14 @@ var (
 // newBatcher starts a dispatcher over a fixed detector slice — the
 // compatibility constructor for embedders (and tests) without a reloadable
 // model set.
-func newBatcher(dets []detect.Detector, maxBatch, queue int, window time.Duration, m *Metrics) *Batcher {
+func newBatcher(dets []detect.Detector, maxBatch, queue int, m *Metrics) *Batcher {
 	ms := &modelSet{dets: dets}
-	return newBatcherSrc(func() *modelSet { return ms }, maxBatch, queue, window, m)
+	return newBatcherSrc(func() *modelSet { return ms }, maxBatch, queue, m)
 }
 
 // newBatcherSrc starts the dispatcher over a model-set source. maxBatch and
-// queue have sane minimums; window <= 0 flushes as soon as the channel runs
-// dry (pure opportunistic coalescing).
-func newBatcherSrc(src func() *modelSet, maxBatch, queue int, window time.Duration, m *Metrics) *Batcher {
+// queue have sane minimums.
+func newBatcherSrc(src func() *modelSet, maxBatch, queue int, m *Metrics) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -82,8 +85,8 @@ func newBatcherSrc(src func() *modelSet, maxBatch, queue int, window time.Durati
 	b := &Batcher{
 		src:     src,
 		max:     maxBatch,
-		window:  window,
 		metrics: m,
+		drained: NewDrainRate(time.Now()),
 		reqs:    make(chan *scanReq, queue),
 		done:    make(chan struct{}),
 	}
@@ -95,7 +98,7 @@ func newBatcherSrc(src func() *modelSet, maxBatch, queue int, window time.Durati
 // fails fast with ErrOverloaded when the submission queue is full, ErrClosed
 // after shutdown, or ctx's error when the caller's deadline expires first.
 func (b *Batcher) Score(ctx context.Context, raw []byte) (scanOut, error) {
-	req := &scanReq{raw: raw, out: make(chan scanOut, 1)}
+	req := &scanReq{raw: raw, enq: time.Now(), out: make(chan scanOut, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -123,7 +126,7 @@ func (b *Batcher) Score(ctx context.Context, raw []byte) (scanOut, error) {
 // jobs use it for their oracle queries — a job that has already been
 // admitted should slow down under load, not lose a query mid-attack.
 func (b *Batcher) ScoreWait(ctx context.Context, raw []byte) (scanOut, error) {
-	req := &scanReq{raw: raw, out: make(chan scanOut, 1)}
+	req := &scanReq{raw: raw, enq: time.Now(), out: make(chan scanOut, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -159,41 +162,24 @@ func (b *Batcher) Close() {
 	<-b.done
 }
 
-// loop is the dispatcher goroutine.
+// loop is the dispatcher goroutine. It takes the first request, then only
+// what is already queued: requests that arrive during a flush become the
+// next batch, so batches grow with load and a lone request never waits.
 func (b *Batcher) loop() {
 	defer close(b.done)
 	batch := make([]*scanReq, 0, b.max)
-	for {
-		first, ok := <-b.reqs
-		if !ok {
-			return
-		}
+	for first := range b.reqs {
 		batch = append(batch[:0], first)
-		if b.window > 0 {
-			timer := time.NewTimer(b.window)
-		collect:
-			for len(batch) < b.max {
-				select {
-				case r, open := <-b.reqs:
-					if !open {
-						break collect
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					break collect
-				}
-			}
-			timer.Stop()
-		} else {
-			for len(batch) < b.max {
-				r, open := <-b.reqs
+	drain:
+		for len(batch) < b.max {
+			select {
+			case r, open := <-b.reqs:
 				if !open {
-					break
+					break drain
 				}
 				batch = append(batch, r)
-				if len(b.reqs) == 0 {
-					break
-				}
+			default:
+				break drain
 			}
 		}
 		b.flush(batch)
@@ -203,7 +189,7 @@ func (b *Batcher) loop() {
 // flush scores one coalesced batch and fans results back out.
 func (b *Batcher) flush(batch []*scanReq) {
 	if b.metrics != nil {
-		b.metrics.observeBatch(len(batch))
+		b.metrics.observeBatch(batch, time.Now())
 	}
 	raws := make([][]byte, len(batch))
 	for i, r := range batch {
@@ -220,7 +206,11 @@ func (b *Batcher) flush(batch []*scanReq) {
 			set:    set,
 		}
 	}
-	for di, d := range set.dets {
+	// The engines score concurrently, each into its own column. A small
+	// batch leaves each engine's per-sample fan-out little to spread, so
+	// scoring them one after another would idle the other cores.
+	parallel.ForEach(0, len(set.dets), func(di int) {
+		d := set.dets[di]
 		scores := detect.ScoreAll(d, raws, 0)
 		var labels []bool
 		if th, ok := d.(detect.Thresholder); ok {
@@ -236,7 +226,8 @@ func (b *Batcher) flush(batch []*scanReq) {
 			outs[i].Scores[di] = scores[i]
 			outs[i].Labels[di] = labels[i]
 		}
-	}
+	})
+	b.drained.Add(time.Now(), int64(len(batch)))
 	for i, r := range batch {
 		// Each request's out channel is buffered (cap 1) and written exactly
 		// once, so this delivery can never block the dispatcher — even when

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -79,7 +80,7 @@ func TestBatcherParityWithDirectScore(t *testing.T) {
 		convDetector(t, "MalConvB", 2),
 	}
 	var m Metrics
-	b := newBatcher(dets, 8, 64, time.Millisecond, &m)
+	b := newBatcher(dets, 8, 64, &m)
 	defer b.Close()
 
 	raws := randomRaws(3, 48, 400)
@@ -123,7 +124,7 @@ func TestBatcherCoalescesConcurrentScans(t *testing.T) {
 		release:  make(chan struct{}),
 	}
 	var m Metrics
-	b := newBatcher([]detect.Detector{gate}, 32, 64, 5*time.Millisecond, &m)
+	b := newBatcher([]detect.Detector{gate}, 32, 64, &m)
 	defer b.Close()
 
 	const extra = 15
@@ -202,7 +203,7 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 		entered:  make(chan int, 8),
 		release:  make(chan struct{}),
 	}
-	b := newBatcher([]detect.Detector{gate}, 2, 2, time.Millisecond, nil)
+	b := newBatcher([]detect.Detector{gate}, 2, 2, nil)
 	done := make(chan error, 8)
 	go func() {
 		_, err := b.Score(context.Background(), []byte("first"))
@@ -238,7 +239,7 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 
 func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 	inner := &stubDetector{name: "stub", thr: 0.5}
-	b := newBatcher([]detect.Detector{inner}, 4, 8, time.Millisecond, nil)
+	b := newBatcher([]detect.Detector{inner}, 4, 8, nil)
 	if _, err := b.Score(context.Background(), []byte("x")); err != nil {
 		t.Fatalf("Score before close: %v", err)
 	}
@@ -252,11 +253,101 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b2 := newBatcher([]detect.Detector{inner}, 4, 8, time.Hour, nil) // huge window
+	gate := &gatedDetector{Detector: inner, entered: make(chan int, 2), release: make(chan struct{}, 2)}
+	b2 := newBatcher([]detect.Detector{gate}, 4, 8, nil)
 	defer b2.Close()
-	go b2.Score(context.Background(), []byte("hold the window open"))
+	defer close(gate.release)
+	go b2.Score(context.Background(), []byte("park the dispatcher"))
+	<-gate.entered
 	if _, err := b2.ScoreWait(ctx, []byte("y")); err != context.Canceled {
 		t.Fatalf("cancelled ScoreWait returned %v, want context.Canceled", err)
+	}
+}
+
+// TestBatcherLoneScoreFlushes pins the idle case: one request with nothing
+// queued behind it is flushed at once, as a batch of one, without waiting
+// for company.
+func TestBatcherLoneScoreFlushes(t *testing.T) {
+	inner := &stubDetector{name: "stub", thr: 0.5}
+	gate := &gatedDetector{Detector: inner, entered: make(chan int, 1), release: make(chan struct{}, 1)}
+	var m Metrics
+	b := newBatcher([]detect.Detector{gate}, 32, 64, &m)
+	defer b.Close()
+	defer close(gate.release) // lets Close finish a parked flush if the test fails
+
+	raw := []byte("alone")
+	done := make(chan scanOut, 1)
+	go func() {
+		out, err := b.Score(context.Background(), raw)
+		if err != nil {
+			t.Errorf("lone Score: %v", err)
+		}
+		done <- out
+	}()
+	select {
+	case n := <-gate.entered:
+		if n != 1 {
+			t.Fatalf("lone request flushed in a batch of %d, want 1", n)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a lone request was never flushed")
+	}
+	gate.release <- struct{}{}
+	if out := <-done; out.Scores[0] != inner.Score(raw) {
+		t.Fatalf("lone request got score %v, want %v", out.Scores[0], inner.Score(raw))
+	}
+	if got := m.BatchWait.Count(); got != 1 {
+		t.Fatalf("batch_wait observed %d requests, want 1", got)
+	}
+}
+
+// TestBatcherFlushScoresEnginesConcurrently pins the fan-out inside a
+// flush: every engine of the set is scoring before any of them finishes,
+// and each result still lands in its engine's column.
+func TestBatcherFlushScoresEnginesConcurrently(t *testing.T) {
+	// The fan-out is bounded by GOMAXPROCS; give it two to fan out over.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	a := &stubDetector{name: "a", thr: 0.5}
+	c := &stubDetector{name: "c", thr: 0.5}
+	gates := []*gatedDetector{
+		{Detector: a, entered: make(chan int, 1), release: make(chan struct{}, 1)},
+		{Detector: c, entered: make(chan int, 1), release: make(chan struct{}, 1)},
+	}
+	b := newBatcher([]detect.Detector{gates[0], gates[1]}, 32, 64, nil)
+	defer b.Close()
+	for _, g := range gates {
+		defer close(g.release) // lets Close finish a parked flush if the test fails
+	}
+
+	raw := []byte("both engines at once")
+	done := make(chan scanOut, 1)
+	go func() {
+		out, err := b.Score(context.Background(), raw)
+		if err != nil {
+			t.Errorf("Score: %v", err)
+		}
+		done <- out
+	}()
+	for i, g := range gates {
+		select {
+		case <-g.entered:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("engine %d never started scoring while the other engine was parked", i)
+		}
+	}
+	for _, g := range gates {
+		g.release <- struct{}{}
+	}
+	out := <-done
+	for i, d := range []*stubDetector{a, c} {
+		if got, want := out.Scores[i], d.Score(raw); got != want {
+			t.Fatalf("engine %d score %v, want %v", i, got, want)
+		}
+		if got, want := out.Labels[i], d.Label(raw); got != want {
+			t.Fatalf("engine %d label %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -271,7 +362,7 @@ func TestScoreWaitCancelledMidBackpressure(t *testing.T) {
 		entered:  make(chan int, 8),
 		release:  make(chan struct{}, 8),
 	}
-	b := newBatcher([]detect.Detector{gate}, 1, 1, time.Millisecond, nil)
+	b := newBatcher([]detect.Detector{gate}, 1, 1, nil)
 	defer b.Close()
 
 	// Park the dispatcher inside a flush ...

@@ -110,6 +110,7 @@ type jobRegistry struct {
 	grace    time.Duration // post-cancel wait during a forced shutdown
 
 	metrics *Metrics
+	drained *DrainRate // finished jobs; the attack-shed Retry-After hint
 }
 
 func newJobRegistry(workers, queue int, deadline, ttl time.Duration, maxJobs int, grace time.Duration, m *Metrics) *jobRegistry {
@@ -121,6 +122,7 @@ func newJobRegistry(workers, queue int, deadline, ttl time.Duration, maxJobs int
 		maxJobs:  maxJobs,
 		grace:    grace,
 		metrics:  m,
+		drained:  NewDrainRate(time.Now()),
 	}
 }
 
@@ -307,8 +309,10 @@ func (h *jobHandle) finish(original []byte, res *core.Result, err error, modelVe
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		h.reg.metrics.JobsCancelled.Add(1)
 	}
+	now := time.Now()
+	h.reg.drained.Add(now, 1)
 	h.update(func(j *job) {
-		j.finished = time.Now()
+		j.finished = now
 		j.finishedVersion = modelVersion
 		if res != nil {
 			j.queries = res.Queries

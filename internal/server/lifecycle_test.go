@@ -419,24 +419,41 @@ func TestOracleCircuitBreakerFailsJobFast(t *testing.T) {
 // --- Retry-After derivation --------------------------------------------
 
 func TestRetryAfterDerivedFromThroughput(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	s.started = time.Now().Add(-10 * time.Second)
+	start := time.Unix(1_000_000_000, 0)
+	d := NewDrainRate(start)
+	for k := 0; k < 10; k++ {
+		d.Add(start.Add(time.Duration(k)*time.Second), 1)
+	}
+	now := start.Add(10 * time.Second)
 
-	// 10 completions over ~10s -> ~1/s; backlog of 9 plus this request -> ~10s
-	// (the uptime clock keeps ticking, so the ceiling may land on 11).
-	if got := s.retryAfter(9, 10); got != "10" && got != "11" {
-		t.Fatalf("retryAfter(9, 10) = %q, want ~\"10\"", got)
+	// One completion a second; backlog of 9 plus this request -> 10s.
+	if got := d.RetryAfterSecs(9, now); got != 10 {
+		t.Fatalf("RetryAfterSecs(9) at 1/s = %d, want 10", got)
 	}
 	// Massive backlog clamps at 60.
-	if got := s.retryAfter(100_000, 10); got != "60" {
-		t.Fatalf("retryAfter(100000, 10) = %q, want \"60\"", got)
+	if got := d.RetryAfterSecs(100_000, now); got != 60 {
+		t.Fatalf("RetryAfterSecs(100000) = %d, want 60", got)
 	}
 	// No history yet falls back to 1.
-	if got := s.retryAfter(5, 0); got != "1" {
-		t.Fatalf("retryAfter(5, 0) = %q, want \"1\"", got)
+	if got := NewDrainRate(start).RetryAfterSecs(5, now); got != 1 {
+		t.Fatalf("RetryAfterSecs(5) with no history = %d, want 1", got)
 	}
 	// Fast drains still answer at least 1.
-	if got := s.retryAfter(0, 1_000_000); got != "1" {
-		t.Fatalf("retryAfter(0, 1e6) = %q, want \"1\"", got)
+	d.Add(now, 1_000_000)
+	if got := d.RetryAfterSecs(0, now); got != 1 {
+		t.Fatalf("RetryAfterSecs(0) after 1e6 completions = %d, want 1", got)
+	}
+
+	// The server's scan hint counts what its batcher flushed: cold, there
+	// is no rate and the hint floors; after one scan a huge backlog clamps.
+	s, ts := newTestServer(t, Config{})
+	if got := s.batcher.drained.RetryAfterSecs(1_000_000, time.Now()); got != 1 {
+		t.Fatalf("cold scan hint = %d, want 1", got)
+	}
+	if resp, body := postBytes(t, ts.URL+"/v1/scan", []byte("one scan")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("scan: %d %s", resp.StatusCode, body)
+	}
+	if got := s.batcher.drained.RetryAfterSecs(1_000_000, time.Now()); got != 60 {
+		t.Fatalf("scan hint after one flush = %d, want 60", got)
 	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"time"
+
 	"mpass/internal/telemetry"
 	"mpass/internal/tenant"
 )
@@ -47,12 +49,17 @@ type Metrics struct {
 	TenantReloads         telemetry.Counter `json:"tenant_reloads"`         // successful allowlist reloads (SIGHUP or endpoint)
 
 	ScanLatency telemetry.Histogram `json:"scan_latency"`
+	BatchWait   telemetry.Histogram `json:"batch_wait"` // enqueue to the start of the flush that scores it
 }
 
-// observeBatch records one dispatcher flush of n requests.
+// observeBatch records one dispatcher flush of batch, started at start.
 //
 //mpass:zeroalloc
-func (m *Metrics) observeBatch(n int) {
+func (m *Metrics) observeBatch(batch []*scanReq, start time.Time) {
+	for _, r := range batch {
+		m.BatchWait.Observe(start.Sub(r.enq))
+	}
+	n := len(batch)
 	m.Batches.Add(1)
 	m.BatchedRaws.Add(int64(n))
 	if n > 1 {

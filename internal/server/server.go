@@ -108,10 +108,12 @@ type Config struct {
 	// own content-addressed version, which must move on reload.
 	ModelVersion string
 
-	MaxBatch    int           // max requests per coalesced batch (default 32)
-	BatchWindow time.Duration // flush window after the first request (default 2ms)
-	ScanQueue   int           // scan admission queue; full = 429 (default 256)
-	CacheSize   int           // LRU score-cache entries; 0 disables (default 4096)
+	MaxBatch  int // max requests per coalesced batch (default 32)
+	ScanQueue int // scan admission queue; full = 429 (default 256)
+	CacheSize int // LRU score-cache entries; 0 disables (default 4096)
+
+	// Deprecated: ignored; the batcher flushes as soon as its queue is empty.
+	BatchWindow time.Duration
 
 	AttackWorkers int // concurrent attack jobs (default 2)
 	AttackQueue   int // attack admission queue; full = 429 (default 64)
@@ -174,9 +176,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.ScanQueue <= 0 {
 		c.ScanQueue = 256
@@ -301,7 +300,7 @@ func New(cfg Config) (*Server, error) {
 			s.probes = defaultProbeCorpus()
 		}
 	}
-	s.batcher = newBatcherSrc(s.snap, cfg.MaxBatch, cfg.ScanQueue, cfg.BatchWindow, &s.metrics)
+	s.batcher = newBatcherSrc(s.snap, cfg.MaxBatch, cfg.ScanQueue, &s.metrics)
 	s.jobs = newJobRegistry(cfg.AttackWorkers, cfg.AttackQueue,
 		cfg.JobDeadline, cfg.JobTTL, cfg.MaxJobs, cfg.DrainGrace, &s.metrics)
 
@@ -533,27 +532,74 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, attackResponse{ID: id, Target: targetName, Poll: "/v1/jobs/" + id})
 }
 
-// retryAfter estimates how long a shed client should wait before retrying:
-// the current backlog divided by the observed completion rate, clamped to
-// [1, 60] seconds.
-func (s *Server) retryAfter(backlog int, completed int64) string {
-	return strconv.Itoa(RetryAfterSecs(backlog, completed, time.Since(s.started).Seconds()))
-}
-
 // RetryAfterSecs is the pure drain-rate estimator behind every Retry-After
-// hint, the replica's and the gateway's alike. The cold-start guard comes
-// first: before any completion has been observed (or with a non-positive
-// uptime, as on a clock step) there is no rate to divide by, so the answer
-// is the minimum legal hint of 1 rather than a division by zero. The clamp
-// then bounds the estimate to [1, 60], which also absorbs a zero backlog
-// (ceil(1/rate) can round to 1 but the clamp makes the floor
-// unconditional) and any float oddity the division could produce.
-func RetryAfterSecs(backlog int, completed int64, upSeconds float64) int {
-	if upSeconds <= 0 || completed <= 0 {
+// hint, the replica's and the gateway's alike: the backlog over the rate
+// of completed requests per second of a recent window seconds long. The
+// cold-start guard comes first: with no completion in the window (or a
+// non-positive window, as on a clock step) there is no rate to divide by,
+// so the answer is the minimum legal hint of 1 rather than a division by
+// zero. The clamp then bounds the estimate to [1, 60], which also absorbs
+// a zero backlog (ceil(1/rate) can round to 1 but the clamp makes the
+// floor unconditional) and any float oddity the division could produce.
+func RetryAfterSecs(backlog int, completed int64, seconds float64) int {
+	if seconds <= 0 || completed <= 0 {
 		return 1
 	}
-	rate := float64(completed) / upSeconds
+	rate := float64(completed) / seconds
 	return clampRetrySecs(math.Ceil(float64(backlog+1) / rate))
+}
+
+// drainSecs is how far back a DrainRate looks: long enough to smooth
+// per-second jitter, short enough that a burst or an idle spell leaves the
+// estimate within seconds.
+const drainSecs = 10
+
+// DrainRate counts completions in one-second buckets over the last
+// drainSecs seconds. A Retry-After hint derived from it follows how fast
+// the backlog drains now, where a lifetime average would be dragged down
+// by an idle hour and propped up by a burst long past.
+type DrainRate struct {
+	start time.Time // the window never reaches back before this
+
+	mu sync.Mutex
+	// sec holds the unix second each bucket of n counts.
+	sec [drainSecs]int64 //mpass:guardedby mu
+	n   [drainSecs]int64 //mpass:guardedby mu
+}
+
+// NewDrainRate returns an empty window whose owner started at start.
+func NewDrainRate(start time.Time) *DrainRate { return &DrainRate{start: start} }
+
+// Add records n completions at now.
+func (d *DrainRate) Add(now time.Time, n int64) {
+	s := now.Unix()
+	i := (s%drainSecs + drainSecs) % drainSecs
+	d.mu.Lock()
+	if d.sec[i] != s {
+		d.sec[i], d.n[i] = s, 0
+	}
+	d.n[i] += n
+	d.mu.Unlock()
+}
+
+// RetryAfterSecs is the hint for a backlog of queued work at now: the
+// window's completions over its length, which is the last drainSecs
+// seconds, or less while the owner is younger than that.
+func (d *DrainRate) RetryAfterSecs(backlog int, now time.Time) int {
+	s := now.Unix()
+	from := time.Unix(s-drainSecs+1, 0)
+	if from.Before(d.start) {
+		from = d.start
+	}
+	var completed int64
+	d.mu.Lock()
+	for i, sec := range d.sec {
+		if sec <= s && s-sec < drainSecs {
+			completed += d.n[i]
+		}
+	}
+	d.mu.Unlock()
+	return RetryAfterSecs(backlog, completed, now.Sub(from).Seconds())
 }
 
 // clampRetrySecs bounds a raw estimate to the advertised [1, 60] window.
@@ -573,12 +619,12 @@ func clampRetrySecs(secs float64) int {
 // drain orders of magnitude faster than attack jobs, so the two sheds
 // advertise different waits.
 func (s *Server) retryAfterScan() string {
-	return s.retryAfter(len(s.batcher.reqs), s.metrics.BatchedRaws.Load())
+	return strconv.Itoa(s.batcher.drained.RetryAfterSecs(len(s.batcher.reqs), time.Now()))
 }
 
 // retryAfterAttack derives the attack-shed hint from job-pool throughput.
 func (s *Server) retryAfterAttack() string {
-	return s.retryAfter(s.jobs.pool.Pending(), int64(s.jobs.pool.Done()))
+	return strconv.Itoa(s.jobs.drained.RetryAfterSecs(s.jobs.pool.Pending(), time.Now()))
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
