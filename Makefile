@@ -144,8 +144,12 @@ scenario-gate:
 
 # perfbench builds, vets and unit-tests the benchmark module (perfbench/,
 # its own Go module), so a program change that breaks what the benchmark
-# uses fails here rather than in a benchmark run.
+# uses fails here rather than in a benchmark run. It then runs the
+# attack-mix workload once (~40 s), an end-to-end audit of the oracle path:
+# the run exits non-zero on a wrong scan score or an adversarial example
+# whose sandbox re-check fails.
 perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
+	bash perfbench/run.sh --workload attack-mix --seed 1 --seconds 16 --trace 0
 
 ci: build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench

@@ -299,7 +299,9 @@ var goldenTenants = []tenant.Tenant{
 
 // TestMetricsGoldenTenantReplica: a multi-tenant replica through
 // unauthenticated requests, tenant scans and a cache hit, a rate-limited
-// tenant, an attack job and an allowlist reload.
+// tenant, an attack job whose oracle query re-sends a scanned body (and
+// still flushes a batch: oracle traffic never reads the cache) and an
+// allowlist reload.
 func TestMetricsGoldenTenantReplica(t *testing.T) {
 	allowlist := filepath.Join(t.TempDir(), "tenants.json")
 	b, _ := json.Marshal(map[string]any{"tenants": goldenTenants})
@@ -374,8 +376,8 @@ func TestMetricsGoldenGateway(t *testing.T) {
 	st, body = send(t, http.MethodPost, base+"/v1/scan", "ka", sampleBodies(1, 4000, 32)[0])
 	expect(t, "spooled scan", st, http.StatusOK, body)
 
-	// A fresh body: the job's oracle query misses on whichever replica
-	// runs it, wherever the ring homes the scanned samples.
+	// The job's oracle query bypasses the score cache, so the cache
+	// counters count the scans above and nothing else.
 	st, body = send(t, http.MethodPost, base+"/v1/attack", "ka", sampleBodies(1, 256, 33)[0])
 	expect(t, "attack", st, http.StatusAccepted, body)
 	poll := pollURL(t, body)

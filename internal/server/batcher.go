@@ -24,6 +24,10 @@ import (
 // fails fast with ErrOverloaded and the HTTP layer sheds the request with
 // a 429.
 //
+// An oracle query is a one-engine row: each engine's ScoreBatch gets only
+// the rows that need it, so a query for one label pays for one engine, and
+// an engine no row needs sits the flush out.
+//
 // Scores are bit-identical to calling Detector.Score per sample: the
 // dispatcher only regroups inputs, and the ScoreBatch implementations carry
 // the repo-wide batch-equals-single parity guarantee.
@@ -53,10 +57,14 @@ type scanOut struct {
 	set    *modelSet
 }
 
+// A targeted request (an oracle query) names the one engine whose verdict it
+// needs; its scanOut fills only that engine's column, so it must never be
+// cached or rendered as a scan response.
 type scanReq struct {
-	raw []byte
-	enq time.Time    // when Score or ScoreWait queued it; starts batch_wait
-	out chan scanOut // buffered; the dispatcher never blocks on delivery
+	raw    []byte
+	target string       // engine to score; "" = every engine (a scan)
+	enq    time.Time    // when Score or ScoreWait queued it; starts batch_wait
+	out    chan scanOut // buffered; the dispatcher never blocks on delivery
 }
 
 // Batcher errors surfaced to the HTTP layer.
@@ -124,9 +132,12 @@ func (b *Batcher) Score(ctx context.Context, raw []byte) (scanOut, error) {
 // ScoreWait is Score with backpressure instead of shedding: when the queue
 // is full it blocks until there is room (or ctx expires). Resident attack
 // jobs use it for their oracle queries — a job that has already been
-// admitted should slow down under load, not lose a query mid-attack.
-func (b *Batcher) ScoreWait(ctx context.Context, raw []byte) (scanOut, error) {
-	req := &scanReq{raw: raw, enq: time.Now(), out: make(chan scanOut, 1)}
+// admitted should slow down under load, not lose a query mid-attack. A
+// non-empty target scores only the engine of that name, in the generation
+// the flush snapshots; if that generation lacks it, no engine scores the
+// request and the caller's lookup in out.set finds it missing.
+func (b *Batcher) ScoreWait(ctx context.Context, raw []byte, target string) (scanOut, error) {
+	req := &scanReq{raw: raw, target: target, enq: time.Now(), out: make(chan scanOut, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -192,8 +203,10 @@ func (b *Batcher) flush(batch []*scanReq) {
 		b.metrics.observeBatch(batch, time.Now())
 	}
 	raws := make([][]byte, len(batch))
+	targeted := false
 	for i, r := range batch {
 		raws[i] = r.raw
+		targeted = targeted || r.target != ""
 	}
 	// One snapshot per flush: every request in this batch gets scores and
 	// labels from the same model generation.
@@ -206,25 +219,58 @@ func (b *Batcher) flush(batch []*scanReq) {
 			set:    set,
 		}
 	}
+	// rows[di] lists the batch rows engine di scores. A scan-only flush
+	// leaves rows nil: every engine scores raws as they are.
+	var rows [][]int
+	if targeted {
+		rows = make([][]int, len(set.dets))
+		for i, r := range batch {
+			if r.target == "" {
+				for di := range rows {
+					rows[di] = append(rows[di], i)
+				}
+				continue
+			}
+			// The ok check matters: a missing name's zero value is engine 0,
+			// which would score and label the wrong engine.
+			if di, ok := set.byName[r.target]; ok {
+				rows[di] = append(rows[di], i)
+			}
+		}
+	}
 	// The engines score concurrently, each into its own column. A small
 	// batch leaves each engine's per-sample fan-out little to spread, so
 	// scoring them one after another would idle the other cores.
 	parallel.ForEach(0, len(set.dets), func(di int) {
+		in := raws
+		if rows != nil {
+			if len(rows[di]) == 0 {
+				return
+			}
+			in = make([][]byte, len(rows[di]))
+			for k, i := range rows[di] {
+				in[k] = raws[i]
+			}
+		}
 		d := set.dets[di]
-		scores := detect.ScoreAll(d, raws, 0)
+		scores := detect.ScoreAll(d, in, 0)
 		var labels []bool
 		if th, ok := d.(detect.Thresholder); ok {
 			thr := th.DecisionThreshold()
 			labels = make([]bool, len(scores))
-			for i, s := range scores {
-				labels[i] = s >= thr
+			for k, s := range scores {
+				labels[k] = s >= thr
 			}
 		} else {
-			labels = detect.LabelAll(d, raws, 0)
+			labels = detect.LabelAll(d, in, 0)
 		}
-		for i := range batch {
-			outs[i].Scores[di] = scores[i]
-			outs[i].Labels[di] = labels[i]
+		for k := range in {
+			i := k
+			if rows != nil {
+				i = rows[di][k]
+			}
+			outs[i].Scores[di] = scores[k]
+			outs[i].Labels[di] = labels[k]
 		}
 	})
 	b.drained.Add(time.Now(), int64(len(batch)))

@@ -247,7 +247,7 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 	if _, err := b.Score(context.Background(), []byte("x")); err != ErrClosed {
 		t.Fatalf("Score after close returned %v, want ErrClosed", err)
 	}
-	if _, err := b.ScoreWait(context.Background(), []byte("x")); err != ErrClosed {
+	if _, err := b.ScoreWait(context.Background(), []byte("x"), ""); err != ErrClosed {
 		t.Fatalf("ScoreWait after close returned %v, want ErrClosed", err)
 	}
 
@@ -259,7 +259,7 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 	defer close(gate.release)
 	go b2.Score(context.Background(), []byte("park the dispatcher"))
 	<-gate.entered
-	if _, err := b2.ScoreWait(ctx, []byte("y")); err != context.Canceled {
+	if _, err := b2.ScoreWait(ctx, []byte("y"), ""); err != context.Canceled {
 		t.Fatalf("cancelled ScoreWait returned %v, want context.Canceled", err)
 	}
 }
@@ -391,7 +391,7 @@ func TestScoreWaitCancelledMidBackpressure(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waitErr := make(chan error, 1)
 	go func() {
-		_, err := b.ScoreWait(ctx, []byte("third"))
+		_, err := b.ScoreWait(ctx, []byte("third"), "")
 		waitErr <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let it reach the blocked send

@@ -16,10 +16,11 @@ type scoreKey struct {
 }
 
 // scoreCache is a (version, SHA-256)-keyed LRU over full scan results.
-// Adversarial workloads are extremely repetitive — an attack loop re-queries
-// candidate byte strings it has seen before, and load generators replay a
-// fixed sample pool — so a small cache absorbs a large share of oracle
-// traffic before it reaches the batcher.
+// Clients and load generators replay fixed sample pools, so a small cache
+// absorbs a large share of scan traffic before it reaches the batcher.
+// Attack-job oracle queries bypass it: their candidates almost never repeat
+// (a traced perfbench attack-mix run got 0 hits in 1 236 oracle lookups),
+// and a query's result holds only its target's verdict.
 type scoreCache struct {
 	mu  sync.Mutex
 	cap int // immutable after construction

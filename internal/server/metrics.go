@@ -20,8 +20,8 @@ type Metrics struct {
 	AttackRejected telemetry.Counter `json:"attack_rejected"` // attacks shed with 429 (job queue full)
 
 	// Scoring pipeline.
-	CacheHits     telemetry.Counter `json:"cache_hits"`
-	CacheMisses   telemetry.Counter `json:"cache_misses"`
+	CacheHits     telemetry.Counter `json:"cache_hits"`     // scan lookups answered by the score cache (oracle queries bypass it)
+	CacheMisses   telemetry.Counter `json:"cache_misses"`   // scan lookups sent on to the batcher
 	ScansStreamed telemetry.Counter `json:"scans_streamed"` // scans served by the O(chunk) streaming path
 	StreamedBytes telemetry.Counter `json:"streamed_bytes"` // total bytes fed through streaming scans
 	Batches       telemetry.Counter `json:"batches"`        // dispatcher flushes

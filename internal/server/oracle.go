@@ -15,10 +15,13 @@ import (
 // query budget against a dead scanner.
 var ErrOracleUnavailable = errors.New("server: oracle unavailable (circuit open)")
 
-// residentOracle adapts the server's scan pipeline into the hard-label
-// Oracle an attack queries. The context-aware path propagates errors and
-// cancellation; the legacy context-free path fails closed (detected), since
-// a scanner that cannot answer must not look like an evasion.
+// residentOracle adapts the server's batcher into the hard-label Oracle an
+// attack queries. Each query is a one-engine row — only the target scores
+// it — and it neither reads nor fills the score cache: a target-only result
+// is not a scan result, and attack candidates are rarely queried twice. The
+// context-aware path propagates errors and cancellation; the legacy
+// context-free path fails closed (detected), since a scanner that cannot
+// answer must not look like an evasion.
 //
 // The target is held by name, not index, and resolved against the generation
 // that answered each query: a hot reload may reorder the set mid-attack, and
@@ -43,11 +46,10 @@ func (o *residentOracle) DetectedContext(ctx context.Context, raw []byte) (bool,
 	o.s.metrics.OracleQueries.Add(1)
 	qctx, cancel := context.WithTimeout(ctx, o.s.cfg.RequestTimeout)
 	defer cancel()
-	// One generation pin per query; the label below still resolves against
-	// out.set — the generation that actually scored — so a reload landing
-	// between this load and the batcher flush cannot mislabel.
-	ms := o.s.snap()
-	out, _, _, err := o.s.scan(qctx, ms, raw, true)
+	// The flush's one snapshot is the generation that answers; the label
+	// resolves by name against it, so a reload that reorders the set cannot
+	// mislabel and one that drops the target fails the query.
+	out, err := o.s.batcher.ScoreWait(qctx, raw, o.name)
 	if err != nil {
 		return false, err
 	}

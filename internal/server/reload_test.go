@@ -19,11 +19,13 @@ import (
 
 // fakeEngine is a minimal engine.Driver whose score, version, and health are
 // test-controlled — the levers the reload handler's gates are exercised with.
+// rows counts the samples its ScoreBatch has scored.
 type fakeEngine struct {
 	name      string
 	version   string
 	score     float64
 	healthErr error
+	rows      atomic.Int64
 }
 
 func (f *fakeEngine) Name() string             { return f.name }
@@ -33,6 +35,7 @@ func (f *fakeEngine) Threshold() float64       { return 0.5 }
 func (f *fakeEngine) Version() string          { return f.version }
 func (f *fakeEngine) Health() error            { return f.healthErr }
 func (f *fakeEngine) ScoreBatch(raws [][]byte) []float64 {
+	f.rows.Add(int64(len(raws)))
 	out := make([]float64, len(raws))
 	for i := range out {
 		out[i] = f.score

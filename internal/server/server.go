@@ -11,7 +11,8 @@
 //	                -> micro-batching dispatcher (Batcher) -> ScoreBatch
 //	POST /v1/attack -> admission (bounded job queue, 429 on overload)
 //	                -> parallel.Pool worker -> MPass attack whose oracle
-//	                   queries loop back through the cache + batcher
+//	                   queries loop back through the batcher, scored by
+//	                   the target engine alone and never cached
 //	GET  /v1/jobs/{id}, /healthz, /metrics
 //
 // Batched scores are bit-identical to single-sample Detector.Score calls;
@@ -342,22 +343,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // scan runs the cache -> batcher pipeline. The caller passes the one
 // generation snapshot it pinned for this request (snapshotonce): scan must
 // not re-load the registry, or the lookup and the response could straddle a
-// concurrent reload and mix generations. wait selects backpressure
-// (internal oracle traffic) over shedding (interactive requests).
-func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte, wait bool) (scanOut, [32]byte, bool, error) {
+// concurrent reload and mix generations. A full queue sheds the request
+// (ErrOverloaded); oracle queries take the batcher's backpressure path
+// instead (residentOracle).
+func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte) (scanOut, [32]byte, bool, error) {
 	sum := sha256.Sum256(raw)
 	if out, ok := s.cache.get(scoreKey{version: ms.version, sum: sum}); ok {
 		s.metrics.CacheHits.Add(1)
 		return out, sum, true, nil
 	}
 	s.metrics.CacheMisses.Add(1)
-	var out scanOut
-	var err error
-	if wait {
-		out, err = s.batcher.ScoreWait(ctx, raw)
-	} else {
-		out, err = s.batcher.Score(ctx, raw)
-	}
+	out, err := s.batcher.Score(ctx, raw)
 	if err != nil {
 		return scanOut{}, sum, false, err
 	}
@@ -423,7 +419,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	out, key, cached, err := s.scan(ctx, ms, raw, false)
+	out, key, cached, err := s.scan(ctx, ms, raw)
 	elapsed := time.Since(start)
 	s.metrics.ScanLatency.Observe(elapsed)
 	if grant != nil {
@@ -492,7 +488,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	target := ms.dets[idx]
-	// Oracle stack, innermost out: resident scan pipeline -> optional fault
+	// Oracle stack, innermost out: resident batcher query -> optional fault
 	// wrapper (tests, -fault-* flags) -> retry + circuit breaker -> the
 	// attack's own query counter (added by the AttackFunc caller below).
 	// Queries counted against the attack budget are therefore logical ones;
