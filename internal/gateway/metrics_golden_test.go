@@ -189,6 +189,20 @@ func expect(t *testing.T, what string, status, want int, body []byte) {
 	}
 }
 
+// waitJobsDone waits until the replica's /metrics counts n finished jobs.
+// A job reads "done" as its task returns, a moment before the pool counts
+// it, so a poll that saw "done" can still race a jobs_done read.
+func waitJobsDone(t *testing.T, base string, n float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for getDoc(t, base+"/metrics")["jobs_done"].(float64) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs_done never reached %v", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func pollURL(t *testing.T, body []byte) string {
 	t.Helper()
 	var acc attackAccepted
@@ -278,6 +292,7 @@ func TestMetricsGoldenReplica(t *testing.T) {
 	close(release)
 	pollJob(t, base+poll1, "", 10*time.Second)
 	pollJob(t, base+poll2, "", 10*time.Second)
+	waitJobsDone(t, base, 2)
 
 	st, body = send(t, http.MethodPost, base+"/v1/models/reload", "", nil)
 	expect(t, "reload", st, http.StatusOK, body)
@@ -339,6 +354,7 @@ func TestMetricsGoldenTenantReplica(t *testing.T) {
 	st, body = send(t, http.MethodPost, base+"/v1/attack", "ka", samples[1])
 	expect(t, "acme attack", st, http.StatusAccepted, body)
 	pollJob(t, base+pollURL(t, body), "ka", 10*time.Second)
+	waitJobsDone(t, base, 1)
 
 	st, body = send(t, http.MethodPost, base+"/v1/tenants/reload", "ko", nil)
 	expect(t, "tenant reload", st, http.StatusOK, body)

@@ -77,7 +77,10 @@ var (
 // compatibility constructor for embedders (and tests) without a reloadable
 // model set.
 func newBatcher(dets []detect.Detector, maxBatch, queue int, m *Metrics) *Batcher {
-	ms := &modelSet{dets: dets}
+	ms := &modelSet{dets: dets, names: make([]string, len(dets))}
+	for i, d := range dets {
+		ms.names[i] = d.Name()
+	}
 	return newBatcherSrc(func() *modelSet { return ms }, maxBatch, queue, m)
 }
 
@@ -202,12 +205,6 @@ func (b *Batcher) flush(batch []*scanReq) {
 	if b.metrics != nil {
 		b.metrics.observeBatch(batch, time.Now())
 	}
-	raws := make([][]byte, len(batch))
-	targeted := false
-	for i, r := range batch {
-		raws[i] = r.raw
-		targeted = targeted || r.target != ""
-	}
 	// One snapshot per flush: every request in this batch gets scores and
 	// labels from the same model generation.
 	set := b.src()
@@ -219,38 +216,22 @@ func (b *Batcher) flush(batch []*scanReq) {
 			set:    set,
 		}
 	}
-	// rows[di] lists the batch rows engine di scores. A scan-only flush
-	// leaves rows nil: every engine scores raws as they are.
-	var rows [][]int
-	if targeted {
-		rows = make([][]int, len(set.dets))
-		for i, r := range batch {
-			if r.target == "" {
-				for di := range rows {
-					rows[di] = append(rows[di], i)
-				}
-				continue
-			}
-			// The ok check matters: a missing name's zero value is engine 0,
-			// which would score and label the wrong engine.
-			if di, ok := set.byName[r.target]; ok {
-				rows[di] = append(rows[di], i)
-			}
-		}
-	}
 	// The engines score concurrently, each into its own column. A small
 	// batch leaves each engine's per-sample fan-out little to spread, so
 	// scoring them one after another would idle the other cores.
 	parallel.ForEach(0, len(set.dets), func(di int) {
-		in := raws
-		if rows != nil {
-			if len(rows[di]) == 0 {
-				return
+		// Each engine scores the scans plus the queries that name it; a
+		// target missing from this generation matches no engine.
+		idx := make([]int, 0, len(batch))
+		in := make([][]byte, 0, len(batch))
+		for i, r := range batch {
+			if r.target == "" || r.target == set.names[di] {
+				idx = append(idx, i)
+				in = append(in, r.raw)
 			}
-			in = make([][]byte, len(rows[di]))
-			for k, i := range rows[di] {
-				in[k] = raws[i]
-			}
+		}
+		if len(in) == 0 {
+			return
 		}
 		d := set.dets[di]
 		scores := detect.ScoreAll(d, in, 0)
@@ -264,11 +245,7 @@ func (b *Batcher) flush(batch []*scanReq) {
 		} else {
 			labels = detect.LabelAll(d, in, 0)
 		}
-		for k := range in {
-			i := k
-			if rows != nil {
-				i = rows[di][k]
-			}
+		for k, i := range idx {
 			outs[i].Scores[di] = scores[k]
 			outs[i].Labels[di] = labels[k]
 		}

@@ -260,8 +260,8 @@ func TestOracleBypassesScoreCache(t *testing.T) {
 // TestOracleAcrossReloads pins the oracle's reload edges mid-job: a reload
 // that reorders the set still yields the target's own label, and one that
 // drops the target fails the query as no longer resident without scoring
-// any engine — in particular not engine 0, where a missing name's zero
-// index would land.
+// any engine — in particular not engine 0, which a lookup that ignored a
+// missing name would land on.
 func TestOracleAcrossReloads(t *testing.T) {
 	target := &fakeEngine{name: "T", version: "t1", score: 0.75} // detects
 	other := &fakeEngine{name: "U", version: "u1", score: 0.25}  // does not
