@@ -66,9 +66,14 @@ race-all:
 	$(GO) test -race -count=1 ./...
 
 # bench is the quick smoke: the data-parallel training step across worker
-# counts, no experiment-suite setup.
+# counts, then one pass of each benchmark that reaches the trained suite
+# through its engine set (named-engine lookup, set-wide quant switch,
+# known-model ensemble), so they run in CI rather than only compile.
 bench:
 	$(GO) test -run '^$$' -bench 'TrainBatchParallel' -benchtime=3x -benchmem .
+	$(GO) test -run '^$$' \
+		-bench 'DetectorPredict|StreamScore$$|InputGradient$$|ShapleySample$$|MPassSingleAttack$$|ScoreBatch$$|EnsembleAblation$$' \
+		-benchtime 1x -count=1 .
 
 # bench-full sweeps every micro- and experiment benchmark (sets up the full
 # evaluation suite; expect minutes).

@@ -23,6 +23,7 @@ import (
 	"mpass/internal/core"
 	"mpass/internal/corpus"
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 	"mpass/internal/eval"
 	"mpass/internal/features"
 	"mpass/internal/nn"
@@ -58,6 +59,18 @@ func suite(b *testing.B) *eval.Suite {
 		b.Fatalf("suite: %v", suiteErr)
 	}
 	return suiteVal
+}
+
+// malconv resolves the suite's MalConv engine. Benchmarks call it before
+// their timed loops, so the lookup is never measured.
+func malconv(b *testing.B) *engine.ConvDriver {
+	b.Helper()
+	d, _ := suite(b).Engines.Get("MalConv")
+	mc, ok := d.(*engine.ConvDriver)
+	if !ok {
+		b.Fatalf("suite has no MalConv conv engine (got %T)", d)
+	}
+	return mc
 }
 
 var (
@@ -320,11 +333,11 @@ func BenchmarkFeatureExtract(b *testing.B) {
 
 // BenchmarkDetectorPredict measures one MalConv forward pass.
 func BenchmarkDetectorPredict(b *testing.B) {
-	s := suite(b)
+	mc := malconv(b)
 	raw := benchVictim(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MalConv.Score(raw)
+		mc.Score(raw)
 	}
 }
 
@@ -333,25 +346,26 @@ func BenchmarkDetectorPredict(b *testing.B) {
 // mode. Compare against BenchmarkDetectorPredict in the same run.
 func BenchmarkDetectorPredictQuant(b *testing.B) {
 	s := suite(b)
+	mc := malconv(b)
 	raw := benchVictim(b)
-	s.SetQuantMode(nn.QuantInt32)
-	defer s.SetQuantMode(nn.QuantOff)
-	s.MalConv.Score(raw) // build the quant tables outside the timed region
+	s.Engines.SetQuantMode(nn.QuantInt32)
+	defer s.Engines.SetQuantMode(nn.QuantOff)
+	mc.Score(raw) // build the quant tables outside the timed region
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MalConv.Score(raw)
+		mc.Score(raw)
 	}
 }
 
 // BenchmarkStreamScore measures the O(chunk) streaming scorer on the same
 // sample, fed in 4 KiB chunks.
 func BenchmarkStreamScore(b *testing.B) {
-	s := suite(b)
+	mc := malconv(b)
 	raw := benchVictim(b)
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := s.MalConv.NewStream()
+		st := mc.NewStream()
 		for off := 0; off < len(raw); off += 4096 {
 			end := off + 4096
 			if end > len(raw) {
@@ -366,22 +380,22 @@ func BenchmarkStreamScore(b *testing.B) {
 // BenchmarkInputGradient measures one embedding-space gradient (the unit of
 // Eq. 3's optimization).
 func BenchmarkInputGradient(b *testing.B) {
-	s := suite(b)
+	mc := malconv(b)
 	raw := benchVictim(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MalConv.InputGradient(raw, 0).Release()
+		mc.InputGradient(raw, 0).Release()
 	}
 }
 
 // BenchmarkShapleySample measures one exact section-Shapley computation.
 func BenchmarkShapleySample(b *testing.B) {
-	s := suite(b)
+	mc := malconv(b)
 	raw := benchVictim(b)
 	secs := []string{".text", ".data", ".rdata", ".idata"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := shapley.SectionShapley(raw, secs, s.MalConv.Score); err != nil {
+		if _, err := shapley.SectionShapley(raw, secs, mc.Score); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,16 +405,18 @@ func BenchmarkShapleySample(b *testing.B) {
 // against MalConv.
 func BenchmarkMPassSingleAttack(b *testing.B) {
 	s := suite(b)
+	mc := malconv(b)
+	known := engine.GradientModels(s.Engines, mc.Name())
 	victim := s.Victims[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(s.KnownFor("MalConv"), s.MPassDonorPool)
+		cfg := core.DefaultConfig(known, s.MPassDonorPool)
 		cfg.Seed = int64(i)
 		atk, err := core.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := atk.Attack(victim.Raw, &core.CountingOracle{Oracle: core.DetectorOracle{D: s.MalConv}})
+		res, err := atk.Attack(victim.Raw, &core.CountingOracle{Oracle: core.DetectorOracle{D: mc}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -413,6 +429,7 @@ func BenchmarkMPassSingleAttack(b *testing.B) {
 // BenchmarkGAMMASingleAttack measures one GAMMA attack for comparison.
 func BenchmarkGAMMASingleAttack(b *testing.B) {
 	s := suite(b)
+	mc := malconv(b)
 	victim := s.Victims[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -422,7 +439,7 @@ func BenchmarkGAMMASingleAttack(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := atk.Run(victim.Raw, &core.CountingOracle{Oracle: core.DetectorOracle{D: s.MalConv}}); err != nil {
+		if _, err := atk.Run(victim.Raw, &core.CountingOracle{Oracle: core.DetectorOracle{D: mc}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -489,13 +506,13 @@ func BenchmarkTrainBatchParallel(b *testing.B) {
 // enumeration (2^4 ablated renders + model evaluations per op) across
 // worker counts, against the trained MalConv.
 func BenchmarkShapleyParallel(b *testing.B) {
-	s := suite(b)
+	mc := malconv(b)
 	raw := benchVictim(b)
 	secs := []string{".text", ".data", ".rdata", ".idata"}
 	for _, workers := range parallelWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := shapley.SectionShapleyWorkers(raw, secs, s.MalConv.Score, workers); err != nil {
+				if _, err := shapley.SectionShapleyWorkers(raw, secs, mc.Score, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -507,11 +524,11 @@ func BenchmarkShapleyParallel(b *testing.B) {
 // BenchmarkScoreBatch measures the batched scoring path on the trained
 // MalConv — the unit the harness's victim selection and calibration use.
 func BenchmarkScoreBatch(b *testing.B) {
-	s := suite(b)
+	mc := malconv(b)
 	raws, _ := benchTrainingBatch(b, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MalConv.ScoreBatch(raws)
+		mc.ScoreBatch(raws)
 	}
 	b.ReportMetric(float64(b.N*len(raws))/b.Elapsed().Seconds(), "samples/sec")
 }

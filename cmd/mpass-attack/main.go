@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mpass/internal/core"
+	"mpass/internal/engine"
 	"mpass/internal/eval"
 	"mpass/internal/sandbox"
 )
@@ -45,10 +46,8 @@ func main() {
 	}
 
 	var oracle core.Oracle
-	for _, d := range suite.OfflineTargets() {
-		if d.Name() == *target {
-			oracle = core.DetectorOracle{D: d}
-		}
+	if d, ok := suite.Engines.Get(*target); ok {
+		oracle = core.DetectorOracle{D: d}
 	}
 	for _, a := range suite.AVs {
 		if a.Name() == *target {
@@ -64,7 +63,7 @@ func main() {
 	v := suite.Victims[*victim]
 	fmt.Printf("victim: %s (%d bytes), target: %s\n", v.Name, len(v.Raw), *target)
 
-	acfg := core.DefaultConfig(suite.KnownFor(*target), suite.MPassDonorPool)
+	acfg := core.DefaultConfig(engine.GradientModels(suite.Engines, *target), suite.MPassDonorPool)
 	acfg.Seed = *seed
 	attacker, err := core.New(acfg)
 	if err != nil {

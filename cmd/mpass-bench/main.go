@@ -73,7 +73,7 @@ func main() {
 		// Quantized tables change victim scores by at most the certified
 		// bound (1e-6 for int32), so the tables below are expected to match
 		// the float64 run — this flag exists to measure that on real runs.
-		s.SetQuantMode(qmode)
+		s.Engines.SetQuantMode(qmode)
 		fmt.Fprintf(out, "quantized inference: %v\n", qmode)
 	}
 	fmt.Fprintf(out, "suite ready in %v; %d eligible victims\n\n",

@@ -49,11 +49,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	set, err := engine.FromSuite(suite)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *outDir != "" {
-		set, err := engine.FromSuite(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := engine.SaveDir(*outDir, set); err != nil {
 			log.Fatal(err)
 		}
@@ -64,15 +64,8 @@ func main() {
 	}
 
 	fmt.Printf("\n%-10s %10s %10s\n", "model", "test acc", "threshold")
-	for _, d := range suite.OfflineTargets() {
-		var thr float64
-		switch m := d.(type) {
-		case *detect.ConvDetector:
-			thr = m.Threshold
-		case *detect.GBDTDetector:
-			thr = m.Threshold
-		}
-		fmt.Printf("%-10s %9.1f%% %10.3f\n", d.Name(), 100*detect.Accuracy(d, ds.Test), thr)
+	for _, d := range set.Drivers() {
+		fmt.Printf("%-10s %9.1f%% %10.3f\n", d.Name(), 100*detect.Accuracy(d, ds.Test), d.Threshold())
 	}
 
 	avs, err := av.NewSuite(ds, av.SuiteConfig{Train: cfg, Seed: *seed + 9000})

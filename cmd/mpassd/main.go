@@ -103,11 +103,7 @@ func main() {
 		// hot paths for the daemon's lifetime. int32 is the certified
 		// (<= 1e-6 score deviation, label-identical) serving mode. Reloaded
 		// engine sets get the same mode applied during certification.
-		for _, d := range set.Drivers() {
-			if q, ok := engine.QuantizerOf(d); ok {
-				q.SetQuantMode(qmode)
-			}
-		}
+		set.SetQuantMode(qmode)
 		log.Printf("quantized inference: %v", qmode)
 	}
 	reg, err := engine.NewRegistry(set)

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"mpass/internal/core"
+	"mpass/internal/engine"
 	"mpass/internal/eval"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	attack := func(shuffle bool, avIdx int) (aes [][]byte) {
 		target := s.AVs[avIdx]
 		for i, v := range s.Victims {
-			acfg := core.DefaultConfig(s.KnownFor(target.Name()), s.MPassDonorPool)
+			acfg := core.DefaultConfig(engine.GradientModels(s.Engines, target.Name()), s.MPassDonorPool)
 			acfg.Seed = int64(i) * 101
 			acfg.Shuffle = shuffle
 			atk, err := core.New(acfg)

@@ -182,10 +182,15 @@ func TestTenantInScope(t *testing.T) {
 // scores (the RNN detector), trains, and derives content-addressed versions,
 // so the determinism analyzer must cover it. Dropping internal/engine from
 // scorePackages would let wall-clock or unseeded randomness leak into engine
-// versions and RNN scores unnoticed.
+// versions and RNN scores unnoticed. The evaluation harness is covered for
+// the same reason: its tables fold model scores, and a fold over a map
+// would make their last bits depend on iteration order.
 func TestEngineInScope(t *testing.T) {
 	if !pathWithinAny("mpass/internal/engine", scorePackages) {
 		t.Error("determinism does not cover mpass/internal/engine")
+	}
+	if !pathWithinAny("mpass/internal/eval", scorePackages) {
+		t.Error("determinism does not cover mpass/internal/eval")
 	}
 }
 

@@ -57,12 +57,3 @@ func (d *ConvDetector) SetQuantMode(m nn.QuantMode) {
 		d.Net.SetQuantMode(m)
 	}
 }
-
-// SetQuantMode switches every neural detector in the suite to the given
-// fixed-point table format (nn.QuantOff restores the float64 reference
-// path). The tree model has no quantized variant and is unaffected.
-func (s *Suite) SetQuantMode(m nn.QuantMode) {
-	for _, d := range []*ConvDetector{s.MalConv, s.NonNeg, s.MalGCG} {
-		d.SetQuantMode(m)
-	}
-}

@@ -20,21 +20,28 @@ func streamScore(d Streamer, raw []byte, sz int) float64 {
 	return s.Finish()
 }
 
+// setQuantMode switches each conv detector to the given table format.
+func setQuantMode(m nn.QuantMode, dets ...*ConvDetector) {
+	for _, d := range dets {
+		d.SetQuantMode(m)
+	}
+}
+
 // TestStreamingMatchesScore is the CI streaming-equivalence gate: for all
 // four offline detectors, every chunking of every eval sample must stream
 // to exactly the score the buffered path computes — in the float64
 // reference mode and with fixed-point tables enabled.
 func TestStreamingMatchesScore(t *testing.T) {
 	mc, nng, lg, gcg := models(t)
-	suite := &Suite{MalConv: mc, NonNeg: nng, LGBM: lg, MalGCG: gcg}
-	defer suite.SetQuantMode(nn.QuantOff)
+	convs := []*ConvDetector{mc, nng, gcg}
+	defer setQuantMode(nn.QuantOff, convs...)
 	raws := rawsOf(dataset(t).Test)
 	if len(raws) > 8 {
 		raws = raws[:8]
 	}
 	for _, mode := range []nn.QuantMode{nn.QuantOff, nn.QuantInt32} {
-		suite.SetQuantMode(mode)
-		for _, d := range suite.OfflineTargets() {
+		setQuantMode(mode, convs...)
+		for _, d := range []Detector{mc, nng, lg, gcg} {
 			st, ok := d.(Streamer)
 			if !ok {
 				t.Fatalf("%s does not implement Streamer", d.Name())
@@ -65,20 +72,19 @@ var quantEvalBounds = map[nn.QuantMode]float64{
 // of the float64 reference and flip zero hard labels. The int16 variant
 // gets the looser measured bound.
 func TestQuantParityOnEvalCorpus(t *testing.T) {
-	mc, nng, lg, gcg := models(t)
-	suite := &Suite{MalConv: mc, NonNeg: nng, LGBM: lg, MalGCG: gcg}
-	defer suite.SetQuantMode(nn.QuantOff)
+	mc, nng, _, gcg := models(t)
+	dets := []*ConvDetector{mc, nng, gcg}
+	defer setQuantMode(nn.QuantOff, dets...)
 	ds := dataset(t)
 	raws := append(rawsOf(ds.Train), rawsOf(ds.Test)...)
 
-	dets := []*ConvDetector{mc, nng, gcg}
 	ref := make([][]float64, len(dets))
-	suite.SetQuantMode(nn.QuantOff)
+	setQuantMode(nn.QuantOff, dets...)
 	for i, d := range dets {
 		ref[i] = ScoreAll(d, raws, 0)
 	}
 	for mode, bound := range quantEvalBounds {
-		suite.SetQuantMode(mode)
+		setQuantMode(mode, dets...)
 		for i, d := range dets {
 			got := ScoreAll(d, raws, 0)
 			var maxDev float64

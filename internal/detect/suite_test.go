@@ -1,27 +1,31 @@
-package detect
+package detect_test
 
-import "testing"
+import (
+	"testing"
 
-func trainedSuite(t *testing.T) *Suite {
-	mc, nng, lg, gcg := models(t)
-	return &Suite{MalConv: mc, NonNeg: nng, LGBM: lg, MalGCG: gcg}
-}
+	"mpass/internal/detect"
+	"mpass/internal/engine"
+)
 
-// TestSuiteKnownFor: MPass's known-model ensemble is the other
-// differentiable offline models — never the target itself, and never
+// TestSuiteKnownFor: a trained Suite, turned into an engine set the way
+// eval.Setup and mpassd build theirs, yields MPass's known-model ensemble —
+// the other differentiable offline models, never the target itself and never
 // LightGBM (paper footnote 6); an external target knows all three.
 func TestSuiteKnownFor(t *testing.T) {
-	s := trainedSuite(t)
-	known := s.KnownFor("MalConv")
+	set, err := engine.FromSuite(detect.TrainedSuite(t))
+	if err != nil {
+		t.Fatalf("FromSuite: %v", err)
+	}
+	known := engine.GradientModels(set, "MalConv")
 	if len(known) != 2 {
-		t.Fatalf("KnownFor(MalConv) returned %d models, want 2", len(known))
+		t.Fatalf("GradientModels(MalConv) returned %d models, want 2", len(known))
 	}
 	for _, m := range known {
-		if m.Name() == "MalConv" {
-			t.Fatal("KnownFor included the target")
+		if m.Name() == "MalConv" || m.Name() == "LightGBM" {
+			t.Fatalf("GradientModels(MalConv) included %s", m.Name())
 		}
 	}
-	if got := s.KnownFor("AV1"); len(got) != 3 {
-		t.Fatalf("KnownFor(external) returned %d models, want 3", len(got))
+	if got := engine.GradientModels(set, "AV1"); len(got) != 3 {
+		t.Fatalf("GradientModels(external) returned %d models, want 3", len(got))
 	}
 }

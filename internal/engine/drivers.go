@@ -7,9 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"mpass/internal/av"
 	"mpass/internal/detect"
-	"mpass/internal/parallel"
 )
 
 // Driver implementations for every model family in the repo. The conv and
@@ -108,74 +106,6 @@ func (d *GBDTDriver) Health() error {
 
 // Unwrap implements Unwrapper.
 func (d *GBDTDriver) Unwrap() detect.Detector { return d.GBDTDetector }
-
-// AVDriver plugs a commercial-AV simulator into the registry. AVs are
-// hard-label-only (one bit per query, like the VirusTotal interface the
-// paper attacks), so Score degenerates to {0, 1} around a 0.5 threshold.
-// Ensemble members are live heterogeneous objects, not serializable weights;
-// AV drivers register at runtime only and SaveEngine rejects them.
-type AVDriver struct {
-	av      *av.AV
-	version string
-	// Workers bounds ScoreBatch parallelism (<= 0 = GOMAXPROCS).
-	Workers int
-}
-
-// NewAVDriver wraps a; version labels the simulator build (empty derives a
-// stable "live-<name>" tag).
-func NewAVDriver(a *av.AV, version string) (*AVDriver, error) {
-	if a == nil {
-		return nil, fmt.Errorf("engine: nil AV")
-	}
-	if version == "" {
-		version = "live-" + a.Name()
-	}
-	return &AVDriver{av: a, version: version}, nil
-}
-
-// Name implements Driver.
-func (d *AVDriver) Name() string { return d.av.Name() }
-
-// Score implements Driver: the hard verdict as a degenerate score.
-func (d *AVDriver) Score(raw []byte) float64 {
-	if d.av.Detected(raw) {
-		return 1
-	}
-	return 0
-}
-
-// Label implements Driver.
-func (d *AVDriver) Label(raw []byte) bool { return d.av.Detected(raw) }
-
-// ScoreBatch implements Driver; member checks fan out per sample.
-func (d *AVDriver) ScoreBatch(raws [][]byte) []float64 {
-	scores := make([]float64, len(raws))
-	parallel.ForEach(d.Workers, len(raws), func(i int) {
-		scores[i] = d.Score(raws[i])
-	})
-	return scores
-}
-
-// Threshold implements Driver.
-func (d *AVDriver) Threshold() float64 { return 0.5 }
-
-// DecisionThreshold implements detect.Thresholder.
-func (d *AVDriver) DecisionThreshold() float64 { return 0.5 }
-
-// Version implements Driver.
-func (d *AVDriver) Version() string { return d.version }
-
-// Health implements Driver.
-func (d *AVDriver) Health() error {
-	if d.av == nil {
-		return fmt.Errorf("engine: AV driver has no ensemble")
-	}
-	return nil
-}
-
-// AV exposes the wrapped simulator (the learning loop's LearnRound lives
-// there).
-func (d *AVDriver) AV() *av.AV { return d.av }
 
 // detectorDriver adapts any detect.Detector into a Driver — the
 // compatibility wrapper for detectors that predate the driver layer (test

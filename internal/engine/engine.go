@@ -1,6 +1,6 @@
 // Package engine is the pluggable detector-driver layer: every resident
 // model — the gated-conv networks, the boosted-tree ensemble, the recurrent
-// byte LM, the commercial-AV simulators — sits behind one Driver interface
+// byte LM, and any wrapped detect.Detector — sits behind one Driver interface
 // (score, batch-score, threshold, health, version), and a Registry holds the
 // active Set behind an atomic pointer so a freshly loaded model set swaps in
 // under live traffic without a restart.
@@ -76,7 +76,7 @@ func StreamerOf(d Driver) (detect.Streamer, bool) {
 
 // GradientOf probes d for the differentiable-score capability, looking
 // through wrappers. Engines with it can join the MPass known-model ensemble;
-// hard-label-only engines (trees, AV simulators) never can — the paper's
+// hard-label-only engines (trees, the recurrent LM) never can — the paper's
 // footnote 6 exclusion falls out of the probe instead of a hardcoded list.
 func GradientOf(d Driver) (detect.GradientModel, bool) {
 	if g, ok := d.(detect.GradientModel); ok {
@@ -104,10 +104,10 @@ func QuantizerOf(d Driver) (Quantizer, bool) {
 	return nil, false
 }
 
-// GradientModels collects the gradient-capable members of the set, in set
-// order, excluding the named target — the MPass known-model ensemble for an
-// attack on that target. With the default suite resident this reproduces
-// Suite.KnownFor exactly: the three conv nets minus the target, trees never.
+// GradientModels is MPass's known-model ensemble for an attack on the named
+// target: every gradient-capable member of the set except the target, in
+// set order. The gradient probe rejects trees, so LightGBM is never a known
+// model (paper footnote 6); an external target knows all three conv nets.
 func GradientModels(s *Set, excludeTarget string) []detect.GradientModel {
 	if s == nil {
 		return nil
@@ -197,6 +197,16 @@ func (s *Set) Index(name string) (int, bool) {
 
 // Version identifies this exact model generation.
 func (s *Set) Version() string { return s.version }
+
+// SetQuantMode switches every member with the fixed-point capability to the
+// given table format (nn.QuantOff restores the float64 path); others ignore it.
+func (s *Set) SetQuantMode(m nn.QuantMode) {
+	for _, d := range s.drivers {
+		if q, ok := QuantizerOf(d); ok {
+			q.SetQuantMode(m)
+		}
+	}
+}
 
 // Detectors adapts the set to the detect.Detector slice older call sites
 // consume, in set order.

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"mpass/internal/corpus"
 	"mpass/internal/detect"
+	"mpass/internal/nn"
 )
 
 // Shared fixtures: detector training dominates this package's test time, so
@@ -214,18 +217,53 @@ func TestRegistryRegisterCopiesOnWrite(t *testing.T) {
 	}
 }
 
-// TestGradientModelsMatchSuiteKnownFor: the capability-probe ensemble must
-// reproduce Suite.KnownFor exactly — conv nets minus the target, the tree
-// ensemble never (the paper's footnote-6 LightGBM exclusion), and the RNN
-// (recurrent, non-differentiable) never.
+// TestGradientModelsKnownModelRule pins MPass's known-model rule (paper
+// footnote 6) on the full set: every gradient-capable member except the
+// target, in set order. LightGBM and the recurrent RNN-PPL never qualify, so
+// they and external targets get all three conv nets.
+func TestGradientModelsKnownModelRule(t *testing.T) {
+	set := fullSet(t)
+	convs := []string{"MalConv", "NonNeg", "MalGCG"}
+	for _, c := range []struct {
+		target string
+		want   []string
+	}{
+		{"MalConv", []string{"NonNeg", "MalGCG"}},
+		{"NonNeg", []string{"MalConv", "MalGCG"}},
+		{"LightGBM", convs},
+		{"MalGCG", []string{"MalConv", "NonNeg"}},
+		{"RNN-PPL", convs},
+		{"AV1", convs},
+	} {
+		var got []string
+		for _, g := range GradientModels(set, c.target) {
+			got = append(got, g.Name())
+		}
+		if strings.Join(got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("target %s: known models %v, want %v", c.target, got, c.want)
+		}
+	}
+	if GradientModels(nil, "MalConv") != nil {
+		t.Fatal("GradientModels(nil) != nil")
+	}
+}
+
+// TestGradientModelsMatchSuiteKnownFor: the known-model ensemble the offline
+// harness computes on its suite-built set (FromSuite, as in eval.Setup) is the
+// one mpassd computes on its full set with the RNN added — same members, same
+// order — so served and offline attacks use one ensemble per target.
 func TestGradientModelsMatchSuiteKnownFor(t *testing.T) {
 	suite, _, _ := fixtures(t)
+	offline, err := FromSuite(suite)
+	if err != nil {
+		t.Fatalf("FromSuite: %v", err)
+	}
 	set := fullSet(t)
 	for _, target := range []string{"MalConv", "NonNeg", "LightGBM", "MalGCG", "RNN-PPL", "SomeExternalAV"} {
-		want := suite.KnownFor(target)
+		want := GradientModels(offline, target)
 		got := GradientModels(set, target)
 		if len(got) != len(want) {
-			t.Fatalf("target %s: %d gradient models via probes, Suite.KnownFor has %d",
+			t.Fatalf("target %s: %d gradient models on the full set, the suite's set has %d",
 				target, len(got), len(want))
 		}
 		for i := range want {
@@ -243,8 +281,50 @@ func TestGradientModelsMatchSuiteKnownFor(t *testing.T) {
 			}
 		}
 	}
-	if GradientModels(nil, "MalConv") != nil {
-		t.Fatal("GradientModels(nil) != nil")
+}
+
+// TestSetQuantMode: the set-wide switch moves every conv engine onto its
+// int32 tables (scores within the certified 1e-6), leaves engines without
+// the capability bit-identical, and QuantOff restores every float score bit
+// for bit.
+func TestSetQuantMode(t *testing.T) {
+	_, _, raws := fixtures(t)
+	set := fullSet(t)
+	defer set.SetQuantMode(nn.QuantOff)
+	ref := make([][]float64, set.Len())
+	for i, d := range set.Drivers() {
+		ref[i] = d.ScoreBatch(raws)
+	}
+
+	set.SetQuantMode(nn.QuantInt32)
+	for i, d := range set.Drivers() {
+		_, quantizes := QuantizerOf(d)
+		moved := false
+		for j, got := range d.ScoreBatch(raws) {
+			moved = moved || got != ref[i][j]
+			switch {
+			case quantizes && math.Abs(got-ref[i][j]) > 1e-6:
+				t.Fatalf("%s sample %d: int32 score %v deviates from float %v by more than 1e-6",
+					d.Name(), j, got, ref[i][j])
+			case !quantizes && got != ref[i][j]:
+				t.Fatalf("%s sample %d: score moved to %v from %v without a quantizer",
+					d.Name(), j, got, ref[i][j])
+			}
+		}
+		// The int32 tables round, so a conv engine that really switched
+		// moves at least one score in its last bits.
+		if quantizes && !moved {
+			t.Fatalf("%s: no score moved, so the int32 tables never served", d.Name())
+		}
+	}
+
+	set.SetQuantMode(nn.QuantOff)
+	for i, d := range set.Drivers() {
+		for j, got := range d.ScoreBatch(raws) {
+			if math.Float64bits(got) != math.Float64bits(ref[i][j]) {
+				t.Fatalf("%s sample %d: QuantOff score %v != original float %v", d.Name(), j, got, ref[i][j])
+			}
+		}
 	}
 }
 
@@ -300,8 +380,9 @@ func TestFromSuitePreservesPaperOrder(t *testing.T) {
 			t.Fatalf("set order %v, want %v", set.Names(), want)
 		}
 	}
+	offline := []detect.Detector{suite.MalConv, suite.NonNeg, suite.LGBM, suite.MalGCG}
 	for i, d := range set.Drivers() {
-		underlying := suite.OfflineTargets()[i]
+		underlying := offline[i]
 		for _, raw := range raws {
 			if d.Score(raw) != underlying.Score(raw) {
 				t.Fatalf("%s: driver score != suite score", d.Name())
@@ -392,7 +473,6 @@ func TestDriverConstructorsRejectNil(t *testing.T) {
 		{"conv", func() error { _, err := NewConvDriver(nil); return err }()},
 		{"gbdt", func() error { _, err := NewGBDTDriver(nil); return err }()},
 		{"rnn", func() error { _, err := NewRNNDriver(nil); return err }()},
-		{"av", func() error { _, err := NewAVDriver(nil, ""); return err }()},
 		{"wrap", func() error { _, err := WrapDetector(nil, ""); return err }()},
 	}
 	for _, c := range cases {
@@ -421,5 +501,4 @@ var (
 	_ Driver = (*ConvDriver)(nil)
 	_ Driver = (*GBDTDriver)(nil)
 	_ Driver = (*RNNDriver)(nil)
-	_ Driver = (*AVDriver)(nil)
 )

@@ -38,8 +38,8 @@ const (
 	envelopeSuffix = ".engine.gob"
 )
 
-// engineKind maps a driver to its envelope kind; drivers without one (AV
-// simulators, wrapped externals) are runtime-only and cannot be saved.
+// engineKind maps a driver to its envelope kind; drivers without one
+// (wrapped detectors) are runtime-only and cannot be saved.
 func engineKind(d Driver) (kind string, payload any, err error) {
 	switch t := d.(type) {
 	case *ConvDriver:
@@ -172,7 +172,7 @@ func envelopeFileName(index int, name string) string {
 
 // SaveDir writes every persistable member of the set into dir (created if
 // missing), one envelope file per engine, each atomically. Runtime-only
-// members (AV drivers, wrapped detectors) are an error: a directory must
+// members (wrapped detectors) are an error: a directory must
 // round-trip to the set that wrote it.
 func SaveDir(dir string, s *Set) error {
 	if s == nil || s.Len() == 0 {

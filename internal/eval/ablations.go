@@ -7,6 +7,7 @@ import (
 	"mpass/internal/attacks"
 	"mpass/internal/av"
 	"mpass/internal/core"
+	"mpass/internal/engine"
 	"mpass/internal/packer"
 	"mpass/internal/pefile"
 	"mpass/internal/shapley"
@@ -56,7 +57,7 @@ func (s *Suite) positionAblationGrid(name string, mutate func(*core.Config)) (*G
 	for _, target := range s.AVs {
 		target.ResetSignatures()
 		factory := AttackFactory{Name: name, New: func(seed int64) (attacks.Attack, error) {
-			cfg := core.DefaultConfig(s.KnownFor(target.Name()), s.MPassDonorPool)
+			cfg := core.DefaultConfig(engine.GradientModels(s.Engines, target.Name()), s.MPassDonorPool)
 			cfg.MaxQueries = s.Cfg.MaxQueries
 			cfg.Seed = seed
 			mutate(&cfg)
@@ -96,15 +97,19 @@ func (s *Suite) RunRandomDataAblation() (*Grid, error) {
 // single known model versus the full ensemble, attacking LightGBM (the one
 // target that is never in the ensemble, so transfer quality is isolated).
 func (s *Suite) RunEnsembleAblation() (*Grid, error) {
+	lgbm, err := s.model("LightGBM")
+	if err != nil {
+		return nil, err
+	}
 	grid := newGrid()
-	oracle := core.DetectorOracle{D: s.LGBM}
+	oracle := core.DetectorOracle{D: lgbm}
 	for _, v := range []struct {
 		name string
 		n    int
 	}{{"ensemble-1", 1}, {"ensemble-all", 3}} {
 		v := v
 		factory := AttackFactory{Name: v.name, New: func(seed int64) (attacks.Attack, error) {
-			known := s.KnownFor(s.LGBM.Name())
+			known := engine.GradientModels(s.Engines, lgbm.Name())
 			if len(known) > v.n {
 				known = known[:v.n]
 			}
@@ -117,7 +122,7 @@ func (s *Suite) RunEnsembleAblation() (*Grid, error) {
 			}
 			return attacks.NewMPass(atk), nil
 		}}
-		cell, err := s.runCell(factory, oracle, s.LGBM.Name())
+		cell, err := s.runCell(factory, oracle, lgbm.Name())
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +139,7 @@ func (s *Suite) RunShuffleAblation(rounds int) (withShuffle, withoutShuffle []fl
 	run := func(shuffle bool) ([]float64, error) {
 		target.ResetSignatures()
 		factory := AttackFactory{Name: "MPass", New: func(seed int64) (attacks.Attack, error) {
-			cfg := core.DefaultConfig(s.KnownFor(target.Name()), s.MPassDonorPool)
+			cfg := core.DefaultConfig(engine.GradientModels(s.Engines, target.Name()), s.MPassDonorPool)
 			cfg.MaxQueries = s.Cfg.MaxQueries
 			cfg.Seed = seed
 			cfg.Shuffle = shuffle
@@ -181,15 +186,20 @@ func (s *Suite) RunPEMRanking(nSamples int) (*PEMRanking, error) {
 	for _, v := range s.Victims[:nSamples] {
 		raws = append(raws, v.Raw)
 	}
-	models := []shapley.Model{s.MalConv, s.NonNeg, s.MalGCG, s.LGBM}
+	models := make([]shapley.Model, s.Engines.Len())
+	for i, d := range s.Engines.Drivers() {
+		models[i] = d
+	}
 	res, err := shapley.PEM(models, raws, shapley.Config{TopH: 10, TopK: 3, Workers: s.Cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
+	// Fold in model order: ranging over the PerModel map would reorder the
+	// float sum from run to run.
 	var ratioSum float64
 	var n int
-	for _, ranked := range res.PerModel {
-		if len(ranked) >= 3 && ranked[2].Value > 1e-9 {
+	for _, m := range models {
+		if ranked := res.PerModel[m.Name()]; len(ranked) >= 3 && ranked[2].Value > 1e-9 {
 			ratioSum += ranked[1].Value / ranked[2].Value
 			n++
 		}

@@ -8,6 +8,7 @@ import (
 	"mpass/internal/core"
 	"mpass/internal/corpus"
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 )
 
 // ATResult reports the §VI "Adversarial training" experiment: the paper
@@ -33,17 +34,21 @@ func (r *ATResult) Suppression() float64 { return r.BaselineASR - r.ATASR }
 // perturbations) is far larger than any finite AE sample, so AT suppresses
 // the attack by only a few points.
 func (s *Suite) RunAdversarialTraining() (*ATResult, error) {
-	res := &ATResult{CleanAccBefore: 100 * detect.Accuracy(s.MalConv, s.DS.Test)}
+	malconv, err := s.model("MalConv")
+	if err != nil {
+		return nil, err
+	}
+	res := &ATResult{CleanAccBefore: 100 * detect.Accuracy(malconv, s.DS.Test)}
 
 	// Baseline ASR on the victim set.
-	base, err := s.mpassASR(s.MalConv, s.Cfg.Seed+41000)
+	base, err := s.mpassASR(malconv, s.Cfg.Seed+41000)
 	if err != nil {
 		return nil, err
 	}
 	res.BaselineASR = base
 
 	// Generate AEs against the *current* model for training malware.
-	atkCfg := core.DefaultConfig(s.KnownFor("MalConv"), s.MPassDonorPool)
+	atkCfg := core.DefaultConfig(engine.GradientModels(s.Engines, malconv.Name()), s.MPassDonorPool)
 	atkCfg.MaxQueries = 20
 	atkCfg.Seed = s.Cfg.Seed + 42000
 	attacker, err := core.New(atkCfg)
@@ -55,7 +60,7 @@ func (s *Suite) RunAdversarialTraining() (*ATResult, error) {
 		if m.Family != corpus.Malware {
 			continue
 		}
-		r, err := attacker.Attack(m.Raw, &core.CountingOracle{Oracle: core.DetectorOracle{D: s.MalConv}})
+		r, err := attacker.Attack(m.Raw, &core.CountingOracle{Oracle: core.DetectorOracle{D: malconv}})
 		if err != nil {
 			return nil, fmt.Errorf("eval: AT AE generation: %w", err)
 		}
@@ -92,7 +97,7 @@ func (s *Suite) RunAdversarialTraining() (*ATResult, error) {
 // mpassASR attacks every victim with fresh MPass instances and returns ASR.
 func (s *Suite) mpassASR(target detect.Detector, seed int64) (float64, error) {
 	factory := AttackFactory{Name: "MPass", New: func(sd int64) (attacks.Attack, error) {
-		cfg := core.DefaultConfig(s.KnownFor(target.Name()), s.MPassDonorPool)
+		cfg := core.DefaultConfig(engine.GradientModels(s.Engines, target.Name()), s.MPassDonorPool)
 		cfg.MaxQueries = s.Cfg.MaxQueries
 		cfg.Seed = sd + seed
 		atk, err := core.New(cfg)
@@ -115,8 +120,12 @@ func (s *Suite) mpassASR(target detect.Detector, seed int64) (float64, error) {
 // against MPass. The probe retrains MalConv on noise-perturbed malware and
 // reports the (non-)suppression.
 func (s *Suite) RunGradientATProbe() (*ATResult, error) {
-	res := &ATResult{CleanAccBefore: 100 * detect.Accuracy(s.MalConv, s.DS.Test)}
-	base, err := s.mpassASR(s.MalConv, s.Cfg.Seed+44000)
+	malconv, err := s.model("MalConv")
+	if err != nil {
+		return nil, err
+	}
+	res := &ATResult{CleanAccBefore: 100 * detect.Accuracy(malconv, s.DS.Test)}
+	base, err := s.mpassASR(malconv, s.Cfg.Seed+44000)
 	if err != nil {
 		return nil, err
 	}

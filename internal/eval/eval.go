@@ -25,6 +25,7 @@ import (
 	"mpass/internal/core"
 	"mpass/internal/corpus"
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 	"mpass/internal/nn"
 	"mpass/internal/parallel"
 	"mpass/internal/sandbox"
@@ -86,16 +87,15 @@ func QuickConfig() Config {
 	return cfg
 }
 
-// Suite bundles everything the experiments need. The embedded detect.Suite
-// is the §IV-A offline-model set — the same type the serving daemon
-// (cmd/mpassd) trains and wraps in engine drivers, so its
-// OfflineTargets/KnownFor accessors are promoted here.
+// Suite bundles everything the experiments need.
 type Suite struct {
 	Cfg Config
 	DS  *corpus.Dataset
 
-	detect.Suite
-	AVs []*av.AV
+	// Engines is the §IV-A offline-model set in paper order, built as
+	// cmd/mpassd builds its own; target lists and known models come from it.
+	Engines *engine.Set
+	AVs     []*av.AV
 
 	MPassDonorPool    [][]byte
 	BaselineDonorPool [][]byte
@@ -135,7 +135,10 @@ func Setup(cfg Config) (*Suite, error) {
 	extraRef := append(append([][]byte{}, s.MPassDonorPool...), s.BaselineDonorPool...)
 	err := parallel.Do(cfg.Workers,
 		func() (e error) {
-			s.MalConv, s.NonNeg, s.LGBM, s.MalGCG, e = detect.TrainAll(s.DS, cfg.Train)
+			var offline *detect.Suite
+			if offline, e = detect.TrainSuite(s.DS, cfg.Train); e == nil {
+				s.Engines, e = engine.FromSuite(offline)
+			}
 			if e != nil {
 				e = fmt.Errorf("eval: offline models: %w", e)
 			}
@@ -189,7 +192,7 @@ func Setup(cfg Config) (*Suite, error) {
 	for i := range detected {
 		detected[i] = true
 	}
-	for _, d := range s.OfflineTargets() {
+	for _, d := range s.Engines.Drivers() {
 		for i, flagged := range detect.LabelAll(d, raws, cfg.Workers) {
 			detected[i] = detected[i] && flagged
 		}
@@ -206,6 +209,15 @@ func Setup(cfg Config) (*Suite, error) {
 		s.Victims = s.Victims[:cfg.Victims]
 	}
 	return s, nil
+}
+
+// model resolves a named offline model, failing when the set lacks it.
+func (s *Suite) model(name string) (engine.Driver, error) {
+	d, ok := s.Engines.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("eval: no %s engine in the model set", name)
+	}
+	return d, nil
 }
 
 func hasSensitive(tr sandbox.Trace) bool {
@@ -230,7 +242,7 @@ func (s *Suite) Factories(target string) []AttackFactory {
 	base := attacks.Config{Donors: s.BaselineDonorPool, MaxQueries: s.Cfg.MaxQueries}
 	return []AttackFactory{
 		{Name: "MPass", New: func(seed int64) (attacks.Attack, error) {
-			cfg := core.DefaultConfig(s.KnownFor(target), s.MPassDonorPool)
+			cfg := core.DefaultConfig(engine.GradientModels(s.Engines, target), s.MPassDonorPool)
 			cfg.MaxQueries = s.Cfg.MaxQueries
 			cfg.Seed = seed
 			atk, err := core.New(cfg)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mpass/internal/engine"
 )
 
 // One shared quick-config suite: Setup trains nine models and is by far the
@@ -31,7 +33,7 @@ func TestSetupSelectsEligibleVictims(t *testing.T) {
 		t.Fatal("no victims")
 	}
 	for _, v := range s.Victims {
-		for _, d := range s.OfflineTargets() {
+		for _, d := range s.Engines.Drivers() {
 			if !d.Label(v.Raw) {
 				t.Errorf("victim %s not detected by %s", v.Name, d.Name())
 			}
@@ -39,9 +41,12 @@ func TestSetupSelectsEligibleVictims(t *testing.T) {
 	}
 }
 
+// TestKnownForExcludesTargetAndLightGBM: the harness's own engine set gives
+// the paper's known-model ensemble — neither the target nor LightGBM for a
+// MalConv target, all three conv nets for a LightGBM target.
 func TestKnownForExcludesTargetAndLightGBM(t *testing.T) {
 	s := quickSuite(t)
-	known := s.KnownFor("MalConv")
+	known := engine.GradientModels(s.Engines, "MalConv")
 	if len(known) != 2 {
 		t.Fatalf("known models = %d, want 2", len(known))
 	}
@@ -50,7 +55,7 @@ func TestKnownForExcludesTargetAndLightGBM(t *testing.T) {
 			t.Errorf("%s must not be a known model here", m.Name())
 		}
 	}
-	if got := len(s.KnownFor("LightGBM")); got != 3 {
+	if got := len(engine.GradientModels(s.Engines, "LightGBM")); got != 3 {
 		t.Errorf("LightGBM target: known = %d, want 3", got)
 	}
 }

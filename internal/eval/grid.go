@@ -53,7 +53,7 @@ func (g *Grid) Cell(attack, target string) *Cell {
 // the shared data behind Tables I (ASR), II (AVQ), and III (APR).
 func (s *Suite) RunOfflineGrid() (*Grid, error) {
 	grid := newGrid()
-	for _, target := range s.OfflineTargets() {
+	for _, target := range s.Engines.Drivers() {
 		oracle := core.DetectorOracle{D: target}
 		for _, f := range s.Factories(target.Name()) {
 			cell, err := s.runCell(f, oracle, target.Name())

@@ -54,11 +54,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Incoming engines serve in the configured fixed-point mode; apply it
 	// before certification so the parity gate checks exactly what will serve.
-	for _, d := range next.Drivers() {
-		if q, ok := engine.QuantizerOf(d); ok {
-			q.SetQuantMode(s.cfg.Quant)
-		}
-	}
+	next.SetQuantMode(s.cfg.Quant)
 	if err := s.certify(next); err != nil {
 		s.metrics.ReloadFailures.Add(1)
 		writeError(w, http.StatusUnprocessableEntity, "certification failed: "+err.Error())
