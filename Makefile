@@ -1,5 +1,5 @@
-# Build / verify entry points. `make ci` is the gate: build, vet, tests,
-# the race detector over the parallel engine, and a benchmark smoke.
+# Build / verify entry points. `make ci` is the gate: formatting, build, vet,
+# tests, the race detector over the parallel engine, and a benchmark smoke.
 
 GO ?= go
 
@@ -24,11 +24,15 @@ LINT_BENCH_JSON ?= BENCH_8.json
 SCENARIO_BENCH_JSON ?= BENCH_9.json
 BENCHJSON_FORCE = $(if $(FORCE_BENCH),-force,)
 
-.PHONY: all build vet lint lint-bench test race race-all bench bench-full \
+.PHONY: all fmt build vet lint lint-bench test race race-all bench bench-full \
         bench-json quant-gate alloc serve-smoke serve-faults reload-smoke \
         cluster-smoke scenario-gate perfbench ci
 
 all: build
+
+# fmt fails when any tracked Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 build:
 	$(GO) build ./...
@@ -157,4 +161,4 @@ perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 	bash perfbench/run.sh --workload attack-mix --seed 1 --seconds 16 --trace 0
 
-ci: build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench
+ci: fmt build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench

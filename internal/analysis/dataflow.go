@@ -17,9 +17,10 @@ import (
 //
 // The abstract domain is small and repo-specific:
 //
-//	SrcSnapshot    — the value is a pinned serving generation (*modelSet,
-//	                 *engine.Set, *gateway ring) from an atomic load or a
-//	                 loader function (snapshotonce facts).
+//	SrcSnapshot    — the value is a pinned serving generation (*engine.Set,
+//	                 *gateway ring, and the fixture tree's *modelSet) from
+//	                 an atomic load or a loader function (snapshotonce
+//	                 facts).
 //	SrcCtx         — derived from the caller's context.Context.
 //	SrcErrTainted  — produced alongside an error that has not yet been
 //	                 checked on this path; cleared by an `err == nil`
@@ -830,7 +831,8 @@ func (f *flow) evalSelector(st *flowState, e *ast.SelectorExpr) absValue {
 	f.visit(e, st)
 	v := base
 	// A version field of a generation value is version-derived: ms.version
-	// on *modelSet, whether ms came from a tracked load or a parameter.
+	// on the fixture tree's *modelSet, whether ms came from a tracked load
+	// or a parameter. (The real tree reads Set.Version().)
 	if sel.Kind() == types.FieldVal && strings.EqualFold(e.Sel.Name, "version") &&
 		(base&SrcSnapshot != 0 || isGenerationType(sel.Recv())) {
 		v |= SrcVersion

@@ -102,7 +102,9 @@ func (s *Session) PrimLoads(fn *types.Func) []token.Pos { return s.primLoads[fn]
 // serving generation. A .Load() of one of these is the primitive "pin a
 // snapshot" operation the snapshotonce domain counts; scoping by declaring
 // package keeps look-alike atomics (e.g. internal/nn's quantized response
-// tables) out of the domain.
+// tables) out of the domain. The modelSet entry serves only the
+// testdata/internal/server fixture: the real server's generation is the
+// registry's engine.Set.
 var generationTypes = map[string][]string{
 	"modelSet": {"internal/server"},
 	"ring":     {"internal/gateway"},

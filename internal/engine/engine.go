@@ -208,16 +208,6 @@ func (s *Set) SetQuantMode(m nn.QuantMode) {
 	}
 }
 
-// Detectors adapts the set to the detect.Detector slice older call sites
-// consume, in set order.
-func (s *Set) Detectors() []detect.Detector {
-	out := make([]detect.Detector, len(s.drivers))
-	for i, d := range s.drivers {
-		out[i] = d
-	}
-	return out
-}
-
 // Registry is the named-driver registry: the current Set sits behind an
 // atomic pointer for lock-free readers (every scan, every oracle query),
 // while swaps and registrations serialize on a mutex. A reader that loads

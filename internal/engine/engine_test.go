@@ -157,10 +157,6 @@ func TestSetLookups(t *testing.T) {
 	if i, ok := s.Index("B"); !ok || i != 1 {
 		t.Fatalf("Index(B) = %d, %v", i, ok)
 	}
-	dets := s.Detectors()
-	if len(dets) != 2 || dets[0].Name() != "A" {
-		t.Fatalf("Detectors() = %v", dets)
-	}
 }
 
 // TestRegistrySwapIsolation: a reader that loaded the old generation keeps a

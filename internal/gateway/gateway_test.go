@@ -17,6 +17,7 @@ import (
 
 	"mpass/internal/core"
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 	"mpass/internal/faultinject"
 	"mpass/internal/server"
 )
@@ -33,8 +34,38 @@ func (d *stubDetector) Score(raw []byte) float64 {
 	sum := sha256.Sum256(raw)
 	return float64(sum[0]) / 255
 }
-func (d *stubDetector) Label(raw []byte) bool      { return d.Score(raw) > d.thr }
+func (d *stubDetector) Label(raw []byte) bool      { return d.Score(raw) >= d.thr }
 func (d *stubDetector) DecisionThreshold() float64 { return d.thr }
+
+// stubRegistry serves dets the way mpassd serves its loaded engines: each
+// wrapped into a driver, frozen into one engine.Set, held by a registry.
+func stubRegistry(t *testing.T, dets ...detect.Detector) *engine.Registry {
+	t.Helper()
+	drivers := make([]engine.Driver, len(dets))
+	for i, d := range dets {
+		dr, err := engine.WrapDetector(d, "")
+		if err != nil {
+			t.Fatalf("WrapDetector: %v", err)
+		}
+		drivers[i] = dr
+	}
+	set, err := engine.NewSet(drivers...)
+	if err != nil {
+		t.Fatalf("NewSet: %v", err)
+	}
+	reg, err := engine.NewRegistry(set)
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	return reg
+}
+
+// fleetRegistry is every test replica's model set: two stub detectors, so
+// replicas built apart still agree on the set version.
+func fleetRegistry(t *testing.T) *engine.Registry {
+	t.Helper()
+	return stubRegistry(t, &stubDetector{name: "A", thr: 0.5}, &stubDetector{name: "B", thr: 0.2})
+}
 
 // stubAttack is a fast AttackFunc: one oracle query, terminal result.
 func stubAttack() server.AttackFunc {
@@ -62,12 +93,8 @@ func newFleet(t *testing.T, n int, gcfg Config) *fleet {
 	f := &fleet{}
 	for i := 0; i < n; i++ {
 		srv, err := server.New(server.Config{
-			Detectors: []detect.Detector{
-				&stubDetector{name: "A", thr: 0.5},
-				&stubDetector{name: "B", thr: 0.2},
-			},
-			Attack:       stubAttack(),
-			ModelVersion: "fleet-v1",
+			Registry: fleetRegistry(t),
+			Attack:   stubAttack(),
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)

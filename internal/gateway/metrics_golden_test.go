@@ -328,9 +328,9 @@ func TestMetricsGoldenTenantReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Detectors: []detect.Detector{&stubDetector{name: "A", thr: 0.5}, &stubDetector{name: "B", thr: 0.2}},
-		Attack:    stubAttack(),
-		Tenants:   tb,
+		Registry: fleetRegistry(t),
+		Attack:   stubAttack(),
+		Tenants:  tb,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"mpass/internal/detect"
 	"mpass/internal/server"
 	"mpass/internal/tenant"
 )
@@ -28,13 +27,9 @@ func newTenantFleet(t *testing.T, n int, gcfg Config, tenants []tenant.Tenant) *
 	f := &fleet{}
 	for i := 0; i < n; i++ {
 		srv, err := server.New(server.Config{
-			Detectors: []detect.Detector{
-				&stubDetector{name: "A", thr: 0.5},
-				&stubDetector{name: "B", thr: 0.2},
-			},
-			Attack:       stubAttack(),
-			ModelVersion: "fleet-v1",
-			Tenants:      tenant.NewTable(tenants, time.Now()),
+			Registry: fleetRegistry(t),
+			Attack:   stubAttack(),
+			Tenants:  tenant.NewTable(tenants, time.Now()),
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)

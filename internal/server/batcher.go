@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"mpass/internal/detect"
+	"mpass/internal/engine"
 	"mpass/internal/parallel"
 )
 
@@ -36,7 +36,7 @@ type Batcher struct {
 	// per flush, so every request coalesced into one batch is scored and
 	// labeled by a single model generation even if a hot reload lands while
 	// the batch is being collected.
-	src     func() *modelSet
+	src     func() *engine.Set
 	max     int
 	metrics *Metrics
 	drained *DrainRate // flushed requests; the scan-shed Retry-After hint
@@ -54,7 +54,7 @@ type Batcher struct {
 type scanOut struct {
 	Scores []float64
 	Labels []bool
-	set    *modelSet
+	set    *engine.Set
 }
 
 // A targeted request (an oracle query) names the one engine whose verdict it
@@ -73,20 +73,9 @@ var (
 	ErrClosed     = errors.New("server: shutting down")
 )
 
-// newBatcher starts a dispatcher over a fixed detector slice — the
-// compatibility constructor for embedders (and tests) without a reloadable
-// model set.
-func newBatcher(dets []detect.Detector, maxBatch, queue int, m *Metrics) *Batcher {
-	ms := &modelSet{dets: dets, names: make([]string, len(dets))}
-	for i, d := range dets {
-		ms.names[i] = d.Name()
-	}
-	return newBatcherSrc(func() *modelSet { return ms }, maxBatch, queue, m)
-}
-
-// newBatcherSrc starts the dispatcher over a model-set source. maxBatch and
+// newBatcher starts the dispatcher over a model-set source. maxBatch and
 // queue have sane minimums.
-func newBatcherSrc(src func() *modelSet, maxBatch, queue int, m *Metrics) *Batcher {
+func newBatcher(src func() *engine.Set, maxBatch, queue int, m *Metrics) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -208,24 +197,25 @@ func (b *Batcher) flush(batch []*scanReq) {
 	// One snapshot per flush: every request in this batch gets scores and
 	// labels from the same model generation.
 	set := b.src()
+	drivers, names := set.Drivers(), set.Names()
 	outs := make([]scanOut, len(batch))
 	for i := range outs {
 		outs[i] = scanOut{
-			Scores: make([]float64, len(set.dets)),
-			Labels: make([]bool, len(set.dets)),
+			Scores: make([]float64, len(drivers)),
+			Labels: make([]bool, len(drivers)),
 			set:    set,
 		}
 	}
 	// The engines score concurrently, each into its own column. A small
 	// batch leaves each engine's per-sample fan-out little to spread, so
 	// scoring them one after another would idle the other cores.
-	parallel.ForEach(0, len(set.dets), func(di int) {
+	parallel.ForEach(0, len(drivers), func(di int) {
 		// Each engine scores the scans plus the queries that name it; a
 		// target missing from this generation matches no engine.
 		idx := make([]int, 0, len(batch))
 		in := make([][]byte, 0, len(batch))
 		for i, r := range batch {
-			if r.target == "" || r.target == set.names[di] {
+			if r.target == "" || r.target == names[di] {
 				idx = append(idx, i)
 				in = append(in, r.raw)
 			}
@@ -233,21 +223,14 @@ func (b *Batcher) flush(batch []*scanReq) {
 		if len(in) == 0 {
 			return
 		}
-		d := set.dets[di]
-		scores := detect.ScoreAll(d, in, 0)
-		var labels []bool
-		if th, ok := d.(detect.Thresholder); ok {
-			thr := th.DecisionThreshold()
-			labels = make([]bool, len(scores))
-			for k, s := range scores {
-				labels[k] = s >= thr
-			}
-		} else {
-			labels = detect.LabelAll(d, in, 0)
-		}
+		// The hard label is score >= threshold, the rule every driver's
+		// Label follows and reload certification checks.
+		d := drivers[di]
+		scores := d.ScoreBatch(in)
+		thr := d.Threshold()
 		for k, i := range idx {
 			outs[i].Scores[di] = scores[k]
-			outs[i].Labels[di] = labels[k]
+			outs[i].Labels[di] = scores[k] >= thr
 		}
 	})
 	b.drained.Add(time.Now(), int64(len(batch)))

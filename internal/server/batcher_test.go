@@ -80,7 +80,7 @@ func TestBatcherParityWithDirectScore(t *testing.T) {
 		convDetector(t, "MalConvB", 2),
 	}
 	var m Metrics
-	b := newBatcher(dets, 8, 64, &m)
+	b := newBatcher(stubRegistry(t, dets...).Current, 8, 64, &m)
 	defer b.Close()
 
 	raws := randomRaws(3, 48, 400)
@@ -124,7 +124,7 @@ func TestBatcherCoalescesConcurrentScans(t *testing.T) {
 		release:  make(chan struct{}),
 	}
 	var m Metrics
-	b := newBatcher([]detect.Detector{gate}, 32, 64, &m)
+	b := newBatcher(stubRegistry(t, gate).Current, 32, 64, &m)
 	defer b.Close()
 
 	const extra = 15
@@ -203,7 +203,7 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 		entered:  make(chan int, 8),
 		release:  make(chan struct{}),
 	}
-	b := newBatcher([]detect.Detector{gate}, 2, 2, nil)
+	b := newBatcher(stubRegistry(t, gate).Current, 2, 2, nil)
 	done := make(chan error, 8)
 	go func() {
 		_, err := b.Score(context.Background(), []byte("first"))
@@ -239,7 +239,7 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 
 func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 	inner := &stubDetector{name: "stub", thr: 0.5}
-	b := newBatcher([]detect.Detector{inner}, 4, 8, nil)
+	b := newBatcher(stubRegistry(t, inner).Current, 4, 8, nil)
 	if _, err := b.Score(context.Background(), []byte("x")); err != nil {
 		t.Fatalf("Score before close: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	gate := &gatedDetector{Detector: inner, entered: make(chan int, 2), release: make(chan struct{}, 2)}
-	b2 := newBatcher([]detect.Detector{gate}, 4, 8, nil)
+	b2 := newBatcher(stubRegistry(t, gate).Current, 4, 8, nil)
 	defer b2.Close()
 	defer close(gate.release)
 	go b2.Score(context.Background(), []byte("park the dispatcher"))
@@ -271,7 +271,7 @@ func TestBatcherLoneScoreFlushes(t *testing.T) {
 	inner := &stubDetector{name: "stub", thr: 0.5}
 	gate := &gatedDetector{Detector: inner, entered: make(chan int, 1), release: make(chan struct{}, 1)}
 	var m Metrics
-	b := newBatcher([]detect.Detector{gate}, 32, 64, &m)
+	b := newBatcher(stubRegistry(t, gate).Current, 32, 64, &m)
 	defer b.Close()
 	defer close(gate.release) // lets Close finish a parked flush if the test fails
 
@@ -315,7 +315,7 @@ func TestBatcherFlushScoresEnginesConcurrently(t *testing.T) {
 		{Detector: a, entered: make(chan int, 1), release: make(chan struct{}, 1)},
 		{Detector: c, entered: make(chan int, 1), release: make(chan struct{}, 1)},
 	}
-	b := newBatcher([]detect.Detector{gates[0], gates[1]}, 32, 64, nil)
+	b := newBatcher(stubRegistry(t, gates[0], gates[1]).Current, 32, 64, nil)
 	defer b.Close()
 	for _, g := range gates {
 		defer close(g.release) // lets Close finish a parked flush if the test fails
@@ -362,7 +362,7 @@ func TestScoreWaitCancelledMidBackpressure(t *testing.T) {
 		entered:  make(chan int, 8),
 		release:  make(chan struct{}, 8),
 	}
-	b := newBatcher([]detect.Detector{gate}, 1, 1, nil)
+	b := newBatcher(stubRegistry(t, gate).Current, 1, 1, nil)
 	defer b.Close()
 
 	// Park the dispatcher inside a flush ...

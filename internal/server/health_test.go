@@ -12,7 +12,7 @@ import (
 // checker and least-loaded picker consume — while the original bare
 // contract (200 serving, 503 draining) stays intact.
 func TestHealthzEnriched(t *testing.T) {
-	s, ts := newTestServer(t, Config{ModelVersion: "test-v42", AttackQueue: 7})
+	s, ts := newTestServer(t, Config{AttackQueue: 7})
 
 	var h HealthStatus
 	resp := getJSON(t, ts.URL+"/healthz", &h)
@@ -22,8 +22,8 @@ func TestHealthzEnriched(t *testing.T) {
 	if h.Status != "ok" || h.Draining {
 		t.Fatalf("healthz = %+v, want status ok / not draining", h)
 	}
-	if h.ModelVersion != "test-v42" {
-		t.Fatalf("model_version = %q, want test-v42", h.ModelVersion)
+	if want := s.snap().Version(); h.ModelVersion != want {
+		t.Fatalf("model_version = %q, want the set version %q", h.ModelVersion, want)
 	}
 	if len(h.Models) != 2 {
 		t.Fatalf("models = %v, want the 2 stub detectors", h.Models)
@@ -50,8 +50,9 @@ func TestHealthzEnriched(t *testing.T) {
 	}
 }
 
-// TestHealthzDefaultModelVersion pins the unconfigured fallback: a stable
-// digest of the detector names, identical across replicas of the same suite.
+// TestHealthzDefaultModelVersion pins fleet consistency: the version is the
+// set's digest of member names and versions, identical across replicas
+// serving the same detectors.
 func TestHealthzDefaultModelVersion(t *testing.T) {
 	_, ts1 := newTestServer(t, Config{})
 	_, ts2 := newTestServer(t, Config{})

@@ -1,138 +1,49 @@
 // The resident-model snapshot: every request path — buffered scan batch,
 // streaming scan, attack-oracle query, health probe — resolves the model set
-// through one atomic load of a *modelSet, an immutable per-generation view.
-// A handler that loads the snapshot keeps it for the whole request, so a hot
-// reload landing mid-flight can never mix generations inside one response:
-// in-flight work finishes on the old snapshot while new work sees the new
-// one, with no locks on the hot path.
+// through one atomic load of the registry's current *engine.Set, an immutable
+// generation. The registry's cell is the only one: a hot reload swaps it and
+// nothing else. A handler that loads the snapshot keeps it for the whole
+// request, so a reload landing mid-flight can never mix generations inside
+// one response: in-flight work finishes on the old set while new work sees
+// the new one, with no locks on the hot path.
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strings"
-
 	"mpass/internal/detect"
 	"mpass/internal/engine"
 )
 
-// modelSet is one resident model generation, frozen at build time.
-type modelSet struct {
-	dets   []detect.Detector
-	names  []string
-	byName map[string]int
-	// version identifies this exact generation; it keys the score cache and
-	// stamps scan responses, job records, and /healthz.
-	version string
-
-	// Streaming scan path, resolved once per generation: non-nil only when
-	// every member can stream and label (Streamer + Thresholder).
-	streamers  []detect.Streamer
-	thresholds []float64
-
-	// drivers is non-nil for registry-backed sets; per-engine versions and
-	// health derive from it. Static (Config.Detectors) sets leave it nil and
-	// synthesize engine entries from the set version.
-	drivers []engine.Driver
-}
-
 // snap loads the active model generation. Callers hold the returned pointer
 // for the whole request so one request never spans a swap.
-func (s *Server) snap() *modelSet { return s.models.Load() }
+func (s *Server) snap() *engine.Set { return s.registry.Current() }
 
-// newModelSetFromEngines builds the serving snapshot for one engine-set
-// generation.
-func newModelSetFromEngines(es *engine.Set, streamOff bool) *modelSet {
-	ms := &modelSet{
-		dets:    es.Detectors(),
-		names:   es.Names(),
-		byName:  make(map[string]int, es.Len()),
-		version: es.Version(),
-		drivers: es.Drivers(),
-	}
-	for i, n := range ms.names {
-		ms.byName[n] = i
-	}
-	ms.resolveStreamers(streamOff)
-	return ms
-}
-
-// newModelSetStatic wraps a fixed detector slice (legacy Config.Detectors
-// servers). An empty version derives a stable digest of the detector names,
-// so even an unconfigured replica advertises something comparable across a
-// fleet.
-func newModelSetStatic(dets []detect.Detector, version string, streamOff bool) (*modelSet, error) {
-	if len(dets) == 0 {
-		return nil, fmt.Errorf("server: no detectors configured")
-	}
-	ms := &modelSet{
-		dets:   dets,
-		names:  make([]string, len(dets)),
-		byName: make(map[string]int, len(dets)),
-	}
-	for i, d := range dets {
-		name := d.Name()
-		if _, dup := ms.byName[name]; dup {
-			return nil, fmt.Errorf("server: duplicate detector name %q", name)
-		}
-		ms.names[i] = name
-		ms.byName[name] = i
-	}
-	if version == "" {
-		sum := sha256.Sum256([]byte(strings.Join(ms.names, "\x00")))
-		version = "models-" + hex.EncodeToString(sum[:8])
-	}
-	ms.version = version
-	ms.resolveStreamers(streamOff)
-	return ms, nil
-}
-
-// resolveStreamers fills streamers/thresholds when every member supports the
-// streaming path; otherwise both stay nil and every scan takes the buffered
-// pipeline. Driver-backed members probe through wrappers via the engine
-// capability probes.
-func (ms *modelSet) resolveStreamers(off bool) {
-	if off {
-		return
-	}
-	streamers := make([]detect.Streamer, len(ms.dets))
-	thresholds := make([]float64, len(ms.dets))
-	for i, d := range ms.dets {
-		st, ok := d.(detect.Streamer)
-		if !ok && ms.drivers != nil {
-			st, ok = engine.StreamerOf(ms.drivers[i])
-		}
+// streamers resolves set's streaming scorers in set order, looking through
+// wrapper drivers, or returns nil when any member cannot stream — every scan
+// then takes the buffered pipeline.
+func streamers(set *engine.Set) []detect.Streamer {
+	drivers := set.Drivers()
+	out := make([]detect.Streamer, len(drivers))
+	for i, d := range drivers {
+		st, ok := engine.StreamerOf(d)
 		if !ok {
-			return
+			return nil
 		}
-		th, ok := d.(detect.Thresholder)
-		if !ok {
-			return
-		}
-		streamers[i] = st
-		thresholds[i] = th.DecisionThreshold()
+		out[i] = st
 	}
-	ms.streamers = streamers
-	ms.thresholds = thresholds
+	return out
 }
 
 // engineHealth snapshots per-engine name/version/health for /healthz and the
-// reload response. Static sets report the set version per member and are
-// always healthy (they predate the Health contract).
-func (ms *modelSet) engineHealth() []EngineHealth {
-	out := make([]EngineHealth, len(ms.names))
-	for i, name := range ms.names {
-		eh := EngineHealth{Name: name, Version: ms.version, Healthy: true}
-		if ms.drivers != nil {
-			d := ms.drivers[i]
-			eh.Version = d.Version()
-			if err := d.Health(); err != nil {
-				eh.Healthy = false
-				eh.Error = err.Error()
-			}
+// reload response, in set order.
+func engineHealth(set *engine.Set) []EngineHealth {
+	drivers := set.Drivers()
+	out := make([]EngineHealth, len(drivers))
+	for i, d := range drivers {
+		out[i] = EngineHealth{Name: d.Name(), Version: d.Version(), Healthy: true}
+		if err := d.Health(); err != nil {
+			out[i].Healthy = false
+			out[i].Error = err.Error()
 		}
-		out[i] = eh
 	}
 	return out
 }

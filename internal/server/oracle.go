@@ -36,7 +36,7 @@ func (o *residentOracle) Name() string { return o.name }
 
 // ModelVersion implements core.ModelVersioner: the generation currently
 // answering this oracle's queries.
-func (o *residentOracle) ModelVersion() string { return o.s.snap().version }
+func (o *residentOracle) ModelVersion() string { return o.s.snap().Version() }
 
 // DetectedContext implements core.ContextOracle. Each query is bounded by
 // the server's per-request timeout on top of the job's own deadline, and
@@ -53,9 +53,9 @@ func (o *residentOracle) DetectedContext(ctx context.Context, raw []byte) (bool,
 	if err != nil {
 		return false, err
 	}
-	idx, ok := out.set.byName[o.name]
+	idx, ok := out.set.Index(o.name)
 	if !ok {
-		return false, fmt.Errorf("server: target %q no longer resident (model set %s)", o.name, out.set.version)
+		return false, fmt.Errorf("server: target %q no longer resident (model set %s)", o.name, out.set.Version())
 	}
 	return out.Labels[idx], nil
 }

@@ -113,8 +113,8 @@ func TestOracleQueriesScoreOnlyTheirTarget(t *testing.T) {
 	gate := &gatedDetector{Detector: dets[0], entered: make(chan int, 64), release: make(chan struct{})}
 	in, out := make(chan []byte), make(chan probe, 1)
 	s, ts := newTestServer(t, Config{
-		Detectors: []detect.Detector{gate, dets[1], dets[2]},
-		Attack:    steppedAttack(in, out),
+		Registry: stubRegistry(t, gate, dets[1], dets[2]),
+		Attack:   steppedAttack(in, out),
 	})
 	// Cleanups run last-in first-out: the job and any parked flush are let
 	// go before the server drains.

@@ -1,12 +1,13 @@
 // POST /v1/models/reload — zero-downtime model hot-reload. The handler asks
 // the configured loader for a candidate engine set, certifies it (every
 // engine healthy, every probe score finite, quantized tables within their
-// certified tolerance of the float path), and only then swaps the serving
-// snapshot atomically. In-flight requests finish on the old generation, new
-// requests see the new one, and the score cache is purged so no
-// stale-generation score survives the swap. A candidate that fails
-// certification is rejected with 422 and the old generation keeps serving —
-// a bad model file can never take the scanner down.
+// certified tolerance of the float path), and only then swaps it into the
+// registry — the one cell every request path reads. In-flight requests
+// finish on the old generation, new requests see the new one, and the score
+// cache is purged so no stale-generation score survives the swap. A
+// candidate that fails certification is rejected with 422 and the old
+// generation keeps serving — a bad model file can never take the scanner
+// down.
 package server
 
 import (
@@ -61,23 +62,20 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	prev := s.snap()
-	ms := newModelSetFromEngines(next, s.cfg.StreamThreshold < 0)
-	if s.registry != nil {
-		// Keep the registry in step with the serving snapshot; next is
-		// non-nil, so Swap cannot fail.
-		//lint:ignore snapshotonce Swap reads the old generation to return it; the reload path intentionally touches both generations, and scans never reach this handler
-		s.registry.Swap(next)
+	prev, err := s.registry.Swap(next)
+	if err != nil {
+		s.metrics.ReloadFailures.Add(1)
+		writeError(w, http.StatusInternalServerError, "swapping model set: "+err.Error())
+		return
 	}
-	s.models.Store(ms)
 	purged := s.cache.purge()
 	s.metrics.CachePurged.Add(int64(purged))
 	s.metrics.Reloads.Add(1)
 	writeJSON(w, http.StatusOK, reloadResponse{
 		Swapped:         true,
-		PreviousVersion: prev.version,
-		ModelVersion:    ms.version,
-		Engines:         ms.engineHealth(),
+		PreviousVersion: prev.Version(),
+		ModelVersion:    next.Version(),
+		Engines:         engineHealth(next),
 		ProbeSamples:    len(s.probes),
 		CachePurged:     purged,
 	})

@@ -52,8 +52,7 @@ func engineSet(t *testing.T, drivers ...engine.Driver) *engine.Set {
 	return set
 }
 
-// registryServer is newTestServer for registry-backed configs (which must not
-// carry the stub Detectors default).
+// registryServer is newTestServer serving initial.
 func registryServer(t *testing.T, cfg Config, initial *engine.Set) (*Server, *httptest.Server) {
 	t.Helper()
 	reg, err := engine.NewRegistry(initial)
@@ -61,18 +60,7 @@ func registryServer(t *testing.T, cfg Config, initial *engine.Set) (*Server, *ht
 		t.Fatalf("NewRegistry: %v", err)
 	}
 	cfg.Registry = reg
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	return s, ts
+	return newTestServer(t, cfg)
 }
 
 func TestReloadRequiresLoader(t *testing.T) {
@@ -163,6 +151,14 @@ func TestReloadSwapsGenerationAndPurgesCache(t *testing.T) {
 	if len(h.Engines) != 1 || h.Engines[0].Name != "M" || h.Engines[0].Version != "vB" {
 		t.Fatalf("healthz engines = %+v", h.Engines)
 	}
+	// The registry is the one generation cell: the set the reload response,
+	// /healthz and the next scan name is the one MPassAttack's known-model
+	// ensemble is drawn from.
+	if cur := s.cfg.Registry.Current(); cur != setB ||
+		cur.Version() != rr.ModelVersion || cur.Version() != h.ModelVersion || cur.Version() != after.ModelVersion {
+		t.Fatalf("registry serves %s; reload named %s, healthz %s, scan %s (want %s everywhere)",
+			cur.Version(), rr.ModelVersion, h.ModelVersion, after.ModelVersion, setB.Version())
+	}
 	if got := s.metrics.Reloads.Load(); got != 1 {
 		t.Fatalf("Reloads = %d, want 1", got)
 	}
@@ -208,6 +204,9 @@ func TestReloadRejectsUncertifiableSets(t *testing.T) {
 		}
 		if got := s.metrics.ReloadFailures.Load(); got != int64(i+1) {
 			t.Fatalf("%s: ReloadFailures = %d, want %d", c.name, got, i+1)
+		}
+		if cur := s.cfg.Registry.Current(); cur != setA {
+			t.Fatalf("%s: rejected reload left the registry on %s, want %s", c.name, cur.Version(), setA.Version())
 		}
 	}
 	// The old generation never stopped serving.

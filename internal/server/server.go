@@ -1,19 +1,23 @@
 // Package server is the serving subsystem behind cmd/mpassd: an HTTP
-// scan/attack service that keeps a trained detector suite resident and
-// answers on-demand queries — the detector-as-a-service oracle the
+// scan/attack service that keeps an engine.Registry's model set resident
+// and answers on-demand queries — the detector-as-a-service oracle the
 // query-based threat model of MPass (and GAMMA's black-box setting)
 // presumes.
 //
 // The pipeline, request to response:
 //
-//	POST /v1/scan   -> admission (bounded queue, 429 on overload)
-//	                -> SHA-256 LRU score cache
-//	                -> micro-batching dispatcher (Batcher) -> ScoreBatch
-//	POST /v1/attack -> admission (bounded job queue, 429 on overload)
-//	                -> parallel.Pool worker -> MPass attack whose oracle
-//	                   queries loop back through the batcher, scored by
-//	                   the target engine alone and never cached
+//	POST /v1/scan          -> admission (bounded queue, 429 on overload)
+//	                       -> SHA-256 LRU score cache
+//	                       -> micro-batching dispatcher (Batcher) -> ScoreBatch
+//	POST /v1/attack        -> admission (bounded job queue, 429 on overload)
+//	                       -> parallel.Pool worker -> MPass attack whose oracle
+//	                          queries loop back through the batcher, scored by
+//	                          the target engine alone and never cached
+//	POST /v1/models/reload -> load -> certify -> Registry.Swap
 //	GET  /v1/jobs/{id}, /healthz, /metrics
+//
+// The registry's current set is the serving generation: every request pins
+// it with one load, and a reload swaps that one cell.
 //
 // Batched scores are bit-identical to single-sample Detector.Score calls;
 // server_test.go holds the parity gate. Shutdown drains: in-flight scans
@@ -77,13 +81,10 @@ func MPassAttack(reg *engine.Registry, donors [][]byte, maxQueries int) AttackFu
 // Config sizes the serving pipeline. Zero values select the defaults noted
 // per field.
 type Config struct {
-	// Detectors is the resident suite; scan responses list models in this
-	// order. Exactly one of Detectors and Registry must be set.
-	Detectors []detect.Detector
-	// Registry supplies the resident models through the pluggable driver
-	// layer instead of Detectors: the serving snapshot is built from its
-	// current set, per-engine versions and health flow to /healthz, and
-	// POST /v1/models/reload can swap generations without a restart.
+	// Registry holds the resident models (required). Its current set is the
+	// serving snapshot: scan responses list engines in set order, per-engine
+	// versions and health flow to /healthz, and POST /v1/models/reload swaps
+	// generations in it without a restart.
 	Registry *engine.Registry
 	// Attack builds each /v1/attack job's attack run. Nil disables the
 	// attack endpoints (501).
@@ -101,13 +102,6 @@ type Config struct {
 	// finitely (and quant-consistently) before they may serve. Empty
 	// synthesizes a deterministic default when Reload is configured.
 	ProbeCorpus [][]byte
-
-	// ModelVersion identifies the resident weight set on /healthz (e.g. a
-	// digest of the model file). Empty derives a stable digest of the
-	// detector names, so fleet-consistency checks work even unconfigured.
-	// Registry-backed servers ignore it: their version is the engine set's
-	// own content-addressed version, which must move on reload.
-	ModelVersion string
 
 	MaxBatch  int // max requests per coalesced batch (default 32)
 	ScanQueue int // scan admission queue; full = 429 (default 256)
@@ -128,8 +122,8 @@ type Config struct {
 	// O(StreamChunk) instead of O(body). Scores equal the buffered path
 	// bit for bit (detect's streaming equivalence gate). StreamThreshold
 	// defaults to 1 MiB; negative disables streaming, and it is also off
-	// when any configured detector lacks a streaming scorer or decision
-	// threshold. StreamChunk is the read size (default 256 KiB).
+	// for any generation with a member that lacks a streaming scorer.
+	// StreamChunk is the read size (default 256 KiB).
 	// MaxStreamBytes caps a streamed upload (default 64 MiB; beyond = 413).
 	StreamThreshold int64
 	StreamChunk     int
@@ -254,10 +248,8 @@ type Server struct {
 	cache   *scoreCache
 	jobs    *jobRegistry
 
-	// models is the active generation; every request path resolves the
-	// resident set through one atomic load (models.go). registry, when
-	// configured, is kept in step with it across reloads.
-	models   atomic.Pointer[modelSet]
+	// registry's current set is the active generation; every request path
+	// resolves it through one atomic load (models.go), and a reload swaps it.
 	registry *engine.Registry
 
 	// reloadMu serializes POST /v1/models/reload; probes is the frozen
@@ -274,8 +266,8 @@ type Server struct {
 // New validates cfg, starts the batching dispatcher and the attack worker
 // pool, and returns the ready-to-serve Server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Registry != nil && len(cfg.Detectors) > 0 {
-		return nil, fmt.Errorf("server: configure Detectors or Registry, not both")
+	if cfg.Registry == nil {
+		return nil, fmt.Errorf("server: no model registry configured")
 	}
 	cfg.fillDefaults()
 	s := &Server{
@@ -284,24 +276,13 @@ func New(cfg Config) (*Server, error) {
 		registry: cfg.Registry,
 		started:  time.Now(),
 	}
-	var ms *modelSet
-	if cfg.Registry != nil {
-		ms = newModelSetFromEngines(cfg.Registry.Current(), cfg.StreamThreshold < 0)
-	} else {
-		var err error
-		ms, err = newModelSetStatic(cfg.Detectors, cfg.ModelVersion, cfg.StreamThreshold < 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.models.Store(ms)
 	if cfg.Reload != nil {
 		s.probes = cfg.ProbeCorpus
 		if len(s.probes) == 0 {
 			s.probes = defaultProbeCorpus()
 		}
 	}
-	s.batcher = newBatcherSrc(s.snap, cfg.MaxBatch, cfg.ScanQueue, &s.metrics)
+	s.batcher = newBatcher(s.snap, cfg.MaxBatch, cfg.ScanQueue, &s.metrics)
 	s.jobs = newJobRegistry(cfg.AttackWorkers, cfg.AttackQueue,
 		cfg.JobDeadline, cfg.JobTTL, cfg.MaxJobs, cfg.DrainGrace, &s.metrics)
 
@@ -346,9 +327,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // concurrent reload and mix generations. A full queue sheds the request
 // (ErrOverloaded); oracle queries take the batcher's backpressure path
 // instead (residentOracle).
-func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte) (scanOut, [32]byte, bool, error) {
+func (s *Server) scan(ctx context.Context, ms *engine.Set, raw []byte) (scanOut, [32]byte, bool, error) {
 	sum := sha256.Sum256(raw)
-	if out, ok := s.cache.get(scoreKey{version: ms.version, sum: sum}); ok {
+	if out, ok := s.cache.get(scoreKey{version: ms.Version(), sum: sum}); ok {
 		s.metrics.CacheHits.Add(1)
 		return out, sum, true, nil
 	}
@@ -361,7 +342,7 @@ func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte) (scanOut, [
 	// reload lands between the lookup above and here, the result keys under
 	// the old version — which no lookup will ever hit again — instead of
 	// poisoning the new generation's segment.
-	s.cache.put(scoreKey{version: out.set.version, sum: sum}, out)
+	s.cache.put(scoreKey{version: out.set.Version(), sum: sum}, out)
 	return out, sum, false, nil
 }
 
@@ -401,8 +382,8 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	// One snapshot per request: the same generation routes the streaming
 	// decision and keys the cache lookup below.
 	ms := s.snap()
-	if s.streamEligible(r, ms) {
-		s.handleScanStream(w, r, ms, grant)
+	if sts := s.streamEligible(r, ms); sts != nil {
+		s.handleScanStream(w, r, ms, sts, grant)
 		return
 	}
 	raw, ok := s.readBody(w, r)
@@ -433,9 +414,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		SHA256:       hex.EncodeToString(key[:]),
 		Size:         len(raw),
 		Cached:       cached,
-		ModelVersion: out.set.version,
+		ModelVersion: out.set.Version(),
 	}
-	for i, name := range out.set.names {
+	for i, name := range out.set.Names() {
 		resp.Results = append(resp.Results, scanModelResult{
 			Model: name, Score: out.Scores[i], Malicious: out.Labels[i],
 		})
@@ -476,18 +457,17 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	ms := s.snap()
 	targetName := r.URL.Query().Get("target")
 	if targetName == "" {
-		targetName = ms.names[0]
+		targetName = ms.Names()[0]
 	}
-	idx, ok := ms.byName[targetName]
+	target, ok := ms.Get(targetName)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown target %q (have %v)", targetName, ms.names))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown target %q (have %v)", targetName, ms.Names()))
 		return
 	}
 	raw, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	target := ms.dets[idx]
 	// Oracle stack, innermost out: resident batcher query -> optional fault
 	// wrapper (tests, -fault-* flags) -> retry + circuit breaker -> the
 	// attack's own query counter (added by the AttackFunc caller below).
@@ -498,7 +478,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		oracle = s.cfg.OracleWrap(oracle)
 	}
 	seed := s.cfg.Seed + s.seedSeq.Add(1)*7919
-	id, err := s.jobs.submit(targetName, ms.version, tenantName, func(ctx context.Context, h *jobHandle) {
+	id, err := s.jobs.submit(targetName, ms.Version(), tenantName, func(ctx context.Context, h *jobHandle) {
 		retrying := &retryOracle{
 			inner:      oracle,
 			attempts:   s.cfg.OracleAttempts,

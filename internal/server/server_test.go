@@ -15,16 +15,37 @@ import (
 
 	"mpass/internal/core"
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 )
 
-// newTestServer builds a Server on stub detectors with an httptest frontend.
+// stubRegistry serves dets the way mpassd serves its loaded engines: each
+// wrapped into a driver, frozen into one engine.Set, held by a registry.
+func stubRegistry(t *testing.T, dets ...detect.Detector) *engine.Registry {
+	t.Helper()
+	drivers := make([]engine.Driver, len(dets))
+	for i, d := range dets {
+		dr, err := engine.WrapDetector(d, "")
+		if err != nil {
+			t.Fatalf("WrapDetector: %v", err)
+		}
+		drivers[i] = dr
+	}
+	reg, err := engine.NewRegistry(engineSet(t, drivers...))
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	return reg
+}
+
+// newTestServer builds a Server with an httptest frontend, on two stub
+// detectors unless cfg brings its own registry.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Detectors == nil {
-		cfg.Detectors = []detect.Detector{
+	if cfg.Registry == nil {
+		cfg.Registry = stubRegistry(t,
 			&stubDetector{name: "A", thr: 0.5},
 			&stubDetector{name: "B", thr: 0.2},
-		}
+		)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -72,7 +93,7 @@ func TestScanEndpointParityAndCache(t *testing.T) {
 		&stubDetector{name: "A", thr: 0.5},
 		&stubDetector{name: "B", thr: 0.2},
 	}
-	s, ts := newTestServer(t, Config{Detectors: dets})
+	s, ts := newTestServer(t, Config{Registry: stubRegistry(t, dets...)})
 
 	raw := []byte("definitely a portable executable")
 	resp, body := postBytes(t, ts.URL+"/v1/scan", raw)
@@ -310,12 +331,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("New accepted a config with no detectors")
+		t.Fatal("New accepted a config with no model registry")
 	}
-	_, err := New(Config{Detectors: []detect.Detector{
-		&stubDetector{name: "dup"}, &stubDetector{name: "dup"},
-	}})
-	if err == nil {
-		t.Fatal("New accepted duplicate detector names")
+	// Duplicate names never reach the server: the set refuses them.
+	dup, err := engine.WrapDetector(&stubDetector{name: "dup"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.NewSet(dup, dup); err == nil {
+		t.Fatal("NewSet accepted duplicate detector names")
 	}
 }

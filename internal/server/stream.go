@@ -17,35 +17,37 @@ import (
 	"time"
 
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 	"mpass/internal/tenant"
 )
 
-// streamEligible routes a scan to the streaming pipeline: the generation
-// must have resolved streamers (modelSet.resolveStreamers), and the declared
-// body length must exceed the threshold or be unknown (chunked transfer
-// encoding reports -1).
-func (s *Server) streamEligible(r *http.Request, ms *modelSet) bool {
-	if ms.streamers == nil {
-		return false
+// streamEligible routes a scan to the streaming pipeline and returns ms's
+// streaming scorers, or nil for the buffered one. Streaming must be on, the
+// declared body length must exceed the threshold or be unknown (chunked
+// transfer encoding reports -1), and every member of ms must stream; the
+// members are probed only once the first two hold, so small bodies pay
+// nothing.
+func (s *Server) streamEligible(r *http.Request, ms *engine.Set) []detect.Streamer {
+	if s.cfg.StreamThreshold < 0 {
+		return nil
 	}
-	return r.ContentLength < 0 || r.ContentLength > s.cfg.StreamThreshold
+	if r.ContentLength >= 0 && r.ContentLength <= s.cfg.StreamThreshold {
+		return nil
+	}
+	return streamers(ms)
 }
 
-// handleScanStream scores one upload through ms's streaming scorers — the
-// snapshot its caller routed on, held for the whole request so a reload
-// mid-upload cannot mix generations. The body is read once in
+// handleScanStream scores one upload through sts, the streaming scorers of
+// ms — the snapshot its caller routed on, held for the whole request so a
+// reload mid-upload cannot mix generations. The body is read once in
 // StreamChunk-sized pieces, each fanned to the SHA-256 hasher and every
 // detector's stream; nothing retains the chunk, so peak memory is the chunk
 // buffer plus the detectors' pooled scratch.
-func (s *Server) handleScanStream(w http.ResponseWriter, r *http.Request, ms *modelSet, grant *tenant.Grant) {
-	s.metrics.ScanRequests.Add(1)
-	if grant != nil {
-		grant.CountScan()
-	}
+func (s *Server) handleScanStream(w http.ResponseWriter, r *http.Request, ms *engine.Set, sts []detect.Streamer, grant *tenant.Grant) {
 	start := time.Now()
 
-	streams := make([]detect.ScoreStream, len(ms.streamers))
-	for i, st := range ms.streamers {
+	streams := make([]detect.ScoreStream, len(sts))
+	for i, st := range sts {
 		streams[i] = st.NewStream()
 	}
 	// finish closes every stream exactly once — also on error paths, so
@@ -96,15 +98,21 @@ func (s *Server) handleScanStream(w http.ResponseWriter, r *http.Request, ms *mo
 		writeError(w, http.StatusBadRequest, "empty body; POST the PE bytes")
 		return
 	}
+	// Counted only now, as on the buffered path: 400/413 rejects appear in
+	// neither ledger.
+	s.metrics.ScanRequests.Add(1)
+	if grant != nil {
+		grant.CountScan()
+	}
 
 	scores := finish()
 	out := scanOut{Scores: scores, Labels: make([]bool, len(scores)), set: ms}
-	for i, sc := range scores {
-		out.Labels[i] = sc >= ms.thresholds[i]
+	for i, d := range ms.Drivers() {
+		out.Labels[i] = scores[i] >= d.Threshold()
 	}
 	var sum [32]byte
 	hasher.Sum(sum[:0])
-	s.cache.put(scoreKey{version: ms.version, sum: sum}, out)
+	s.cache.put(scoreKey{version: ms.Version(), sum: sum}, out)
 
 	s.metrics.ScansStreamed.Add(1)
 	s.metrics.StreamedBytes.Add(total)
@@ -117,9 +125,9 @@ func (s *Server) handleScanStream(w http.ResponseWriter, r *http.Request, ms *mo
 	resp := scanResponse{
 		SHA256:       hex.EncodeToString(sum[:]),
 		Size:         int(total),
-		ModelVersion: ms.version,
+		ModelVersion: ms.Version(),
 	}
-	for i, name := range ms.names {
+	for i, name := range ms.Names() {
 		resp.Results = append(resp.Results, scanModelResult{
 			Model: name, Score: out.Scores[i], Malicious: out.Labels[i],
 		})

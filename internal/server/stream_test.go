@@ -22,7 +22,7 @@ func streamServer(t *testing.T, cfg Config) (*Server, string, []detect.Detector)
 		convDetector(t, "A", 1),
 		convDetector(t, "B", 2),
 	}
-	cfg.Detectors = dets
+	cfg.Registry = stubRegistry(t, dets...)
 	s, ts := newTestServer(t, cfg)
 	return s, ts.URL, dets
 }
@@ -72,7 +72,7 @@ func TestScanStreamMatchesBuffered(t *testing.T) {
 	}
 	// The streamed result is visible to the buffered pipeline's cache,
 	// filed under the generation that streamed it.
-	out, ok := s.cache.get(scoreKey{version: s.snap().version, sum: sum})
+	out, ok := s.cache.get(scoreKey{version: s.snap().Version(), sum: sum})
 	if !ok {
 		t.Fatal("streamed scan result not cached")
 	}
@@ -124,10 +124,14 @@ func TestScanStreamUnknownLength(t *testing.T) {
 		t.Fatalf("ScansStreamed = %d, want 1", got)
 	}
 
-	// A chunked empty body is still a 400, like the buffered path.
+	// A chunked empty body is still a 400, like the buffered path, and
+	// like it never reaches the request ledger.
 	resp, _ = postChunked(t, url+"/v1/scan", readerOf(nil))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty chunked body: status %d, want 400", resp.StatusCode)
+	}
+	if got := s.metrics.ScanRequests.Load(); got != 1 {
+		t.Fatalf("scan_requests = %d after one scan and one 400, want 1", got)
 	}
 }
 
@@ -144,13 +148,17 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestScanStreamTooLarge: MaxStreamBytes caps the chunked path with 413.
+// TestScanStreamTooLarge: MaxStreamBytes caps the chunked path with 413,
+// and the reject is not counted as a scan request.
 func TestScanStreamTooLarge(t *testing.T) {
-	_, url, _ := streamServer(t, Config{StreamThreshold: 64, MaxStreamBytes: 4096})
+	s, url, _ := streamServer(t, Config{StreamThreshold: 64, MaxStreamBytes: 4096})
 	raw := make([]byte, 8192)
 	resp, body := postBytes(t, url+"/v1/scan", raw)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d (%s), want 413", resp.StatusCode, body)
+	}
+	if got := s.metrics.ScanRequests.Load(); got != 0 {
+		t.Fatalf("scan_requests = %d after a 413, want 0", got)
 	}
 }
 
