@@ -1,5 +1,6 @@
 # Build / verify entry points. `make ci` is the gate: formatting, build, vet,
-# tests, the race detector over the parallel engine, and a benchmark smoke.
+# tests, the mutant table, the race detector over the parallel engine, and a
+# benchmark smoke.
 
 GO ?= go
 
@@ -26,7 +27,7 @@ BENCHJSON_FORCE = $(if $(FORCE_BENCH),-force,)
 
 .PHONY: all fmt build vet lint lint-bench test race race-all bench bench-full \
         bench-json quant-gate alloc serve-smoke serve-faults reload-smoke \
-        cluster-smoke scenario-gate perfbench ci
+        cluster-smoke scenario-gate perfbench mutants ci
 
 all: build
 
@@ -42,19 +43,15 @@ vet:
 
 # lint runs the repo's own invariant analyzers (internal/analysis via
 # cmd/mpass-lint): goroutine discipline, weight-mutation guards,
-# determinism, typed atomics, bounded serving queues, the
-# //mpass:zeroalloc pragma, and the round-2 dataflow set — snapshotonce
-# (one generation pin per request path), mutexguard (//mpass:guardedby
-# lock discipline), versionkey ((version, hash) cache keys), failclosed
-# (error-tainted scores never reach responses, caches, or nil-error
-# returns). Non-zero exit on any finding.
+# determinism, typed atomics, bounded serving queues, context threading
+# and the //mpass:zeroalloc pragma. Non-zero exit on any finding.
 lint:
 	$(GO) run ./cmd/mpass-lint ./...
 
-# lint-bench gates the dataflow round's cost: a full 11-analyzer run over
-# the loaded tree must stay within 2x of the PR 4 per-file baseline
-# (ns(baseline)/ns(full) >= 0.5). Writes $(LINT_BENCH_JSON) on first run
-# (append-only; FORCE_BENCH=1 regenerates).
+# lint-bench gates lint cost: a full analyzer run over the loaded tree must
+# stay within 2x of the per-file baseline set (ns(baseline)/ns(full) >=
+# 0.5). Writes $(LINT_BENCH_JSON) on first run (append-only; FORCE_BENCH=1
+# regenerates).
 lint-bench:
 	$(GO) test -run '^$$' -bench 'Lint(Baseline|Full)$$' -benchtime=3x -count=1 \
 		./internal/analysis | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) \
@@ -62,6 +59,14 @@ lint-bench:
 
 test:
 	$(GO) test ./...
+
+# mutants runs the mutant table (internal/mutants): each row copies the tree,
+# applies one bug-shaped edit and runs the one gate that must fail on it; a
+# row whose gate passes, or whose snippet does not match exactly once, fails.
+# Measured on 2 vCPUs: 92 s when the -trimpath build cache is cold, 14-30 s
+# warm. Budget: 5 minutes, enforced by -timeout.
+mutants:
+	$(GO) test -tags mutants -count=1 -timeout 5m ./internal/mutants
 
 race:
 	$(GO) test -race -count=1 $(PARALLEL_PKGS)
@@ -161,4 +166,4 @@ perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 	bash perfbench/run.sh --workload attack-mix --seed 1 --seconds 16 --trace 0
 
-ci: fmt build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench
+ci: fmt build vet lint lint-bench test mutants race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench

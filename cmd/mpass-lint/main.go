@@ -9,9 +9,8 @@
 //	mpass-lint -list                # describe the analyzers
 //
 // The -json report is a SARIF-style envelope: schema_version, the analyzer
-// set with docs, per-analyzer wall time, and findings — each finding
-// carrying its optional call-path trace (the static call chain connecting
-// the reported line to the primitive operation behind it).
+// set with docs, per-analyzer wall time, and findings (file, line, col,
+// analyzer, message).
 //
 // Findings are suppressed case by case with
 // `//lint:ignore <analyzer> <reason>` on the flagged line or the line
@@ -31,8 +30,7 @@ import (
 )
 
 // report is the -json schema (version 2). Version 1 was a bare Diagnostic
-// array; v2 wraps it with the run metadata CI dashboards need and extends
-// findings with traces.
+// array; v2 wraps it with the run metadata CI dashboards need.
 type report struct {
 	SchemaVersion int                   `json:"schema_version"`
 	Analyzers     []reportAnalyzer      `json:"analyzers"`
@@ -113,9 +111,6 @@ func main() {
 	} else {
 		for _, d := range diags {
 			fmt.Println(d)
-			for _, step := range d.Trace {
-				fmt.Printf("\tvia %s:%d:%d: %s\n", step.File, step.Line, step.Col, step.Func)
-			}
 		}
 	}
 	if len(diags) > 0 {
@@ -139,9 +134,6 @@ func relativize(diags []analysis.Diagnostic, dir string) {
 	for i := range diags {
 		diags[i].File = rel(diags[i].File)
 		diags[i].Pos.Filename = diags[i].File
-		for j := range diags[i].Trace {
-			diags[i].Trace[j].File = rel(diags[i].Trace[j].File)
-		}
 	}
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -264,6 +266,28 @@ func TestParseScenarioRejectsUnknownKeys(t *testing.T) {
 	} {
 		if _, err := parseScenario([]byte(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("%s: err = %v, want an unknown-field error", name, err)
+		}
+	}
+}
+
+// TestScenarioFilesParse parses every committed scenario. A drill that
+// must fail its gate (scripts/drill.sh refuse) would otherwise pass on a
+// scenario that no longer decodes, since a decode error exits non-zero too.
+func TestScenarioFilesParse(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenario files found (%v)", err)
+	}
+	for _, path := range paths {
+		if filepath.Base(path) == "tenants.json" {
+			continue // the tenant allowlist, not a scenario
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseScenario(data); err != nil {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

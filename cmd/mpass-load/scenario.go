@@ -335,7 +335,7 @@ func (run *scenarioRun) phase(ph scenarioPhase, rl *reloader) []streamResult {
 // pool.
 type liveTally struct {
 	mu sync.Mutex
-	t  tally //mpass:guardedby mu
+	t  tally // guarded by mu
 }
 
 func (l *liveTally) add(r tally) {
@@ -541,7 +541,7 @@ func (r *patternBody) Read(p []byte) (int, error) {
 type reloader struct {
 	base string
 	mu   sync.Mutex
-	log  reloadLog //mpass:guardedby mu
+	log  reloadLog // guarded by mu
 }
 
 // swap POSTs one reload. It must land: a 501 (no loader configured) or

@@ -7,15 +7,10 @@
 // fast path, pool-mediated concurrency, shed-or-bounded-wait serving
 // queues, zero-allocation steady-state hot paths. Runtime tests catch a
 // regression after it ships; the analyzers here reject the shapes of code
-// that cause one at lint time.
-//
-// Round 2 added a dataflow layer on top of the per-file walks: a
-// cross-package call graph (callgraph.go), per-function facts that
-// analyzers export and import in dependency order (facts.go), and a
-// forward abstract interpreter over the serving-tier domain —
-// snapshot-load, lock-held region, ctx-derived, error-tainted
-// (dataflow.go). The snapshotonce, mutexguard, versionkey, and failclosed
-// analyzers are built on it.
+// that cause one at lint time. Every analyzer is a walk over one package's
+// syntax and types; the serving tier's generation, cache-key, fail-closed
+// and locking contracts are guarded by runtime tests instead, each proved
+// by a row of the mutant table in internal/mutants.
 //
 // Findings can be silenced case by case with
 //
@@ -39,51 +34,27 @@ import (
 )
 
 // Analyzer is one named invariant check. Run inspects a single
-// type-checked package and reports findings through the Pass. Init, when
-// set, runs once per session before any analyzer's Run — it is where an
-// analyzer computes global state (call-graph prepasses) and exports facts.
-// Needs names the analyzers whose facts this one imports; Run orders
-// execution so producers complete first.
+// type-checked package and reports findings through the Pass.
 type Analyzer struct {
-	Name  string // short identifier, used in //lint:ignore directives
-	Doc   string // one-line description of the invariant
-	Needs []string
-	Init  func(*Session)
-	Run   func(*Pass)
+	Name string // short identifier, used in //lint:ignore directives
+	Doc  string // one-line description of the invariant
+	Run  func(*Pass)
 }
 
-// Pass hands one package to one analyzer, with the session shared by the
-// whole run for fact import and call-graph access.
+// Pass hands one package to one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Sess     *Session
 	diags    *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportTrace(pos, nil, format, args...)
-}
-
-// ReportTrace records a finding with an attached call-path trace: the
-// chain of call sites connecting the reported position to the primitive
-// operation that justifies the finding.
-func (p *Pass) ReportTrace(pos token.Pos, trace []TraceStep, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Pkg.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Trace:    trace,
 	})
-}
-
-// TraceStep is one hop of a diagnostic's call-path trace.
-type TraceStep struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Func string `json:"func"`
 }
 
 // Diagnostic is one finding, resolved to a concrete file position.
@@ -94,7 +65,6 @@ type Diagnostic struct {
 	Col      int            `json:"col"`
 	Analyzer string         `json:"analyzer"`
 	Message  string         `json:"message"`
-	Trace    []TraceStep    `json:"trace,omitempty"`
 }
 
 func (d Diagnostic) String() string {
@@ -111,8 +81,7 @@ type Package struct {
 	Info    *types.Info
 }
 
-// Timing is one analyzer's wall-clock share of a run. The pseudo-entry
-// "session" covers call-graph construction plus every analyzer's Init.
+// Timing is one analyzer's wall-clock share of a run.
 type Timing struct {
 	Analyzer string        `json:"analyzer"`
 	Duration time.Duration `json:"duration_ns"`
@@ -128,10 +97,6 @@ func All() []*Analyzer {
 		BoundedQueue,
 		CtxFlow,
 		ZeroAlloc,
-		SnapshotOnce,
-		MutexGuard,
-		VersionKey,
-		FailClosed,
 	}
 }
 
@@ -166,10 +131,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// RunTimed is Run plus per-analyzer wall-time. The run is analyzer-major
-// in Needs order: every fact producer's Init has completed before any Run
-// starts, and each analyzer sweeps all packages before the next begins, so
-// cross-package facts are complete when imported.
+// RunTimed is Run plus per-analyzer wall-time: each analyzer sweeps all
+// packages before the next begins.
 //
 // Suppression handling reports two pseudo-analyzers of its own: "lint" for
 // malformed directives (missing analyzer name or reason) and
@@ -177,32 +140,15 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // run, provided its analyzer actually ran (so a subset -run does not flag
 // other analyzers' waivers) or is unknown to the framework entirely.
 func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
-	ordered, err := orderByNeeds(analyzers)
-	if err != nil {
-		// A Needs cycle is a bug in the analyzer set, not in the analyzed
-		// code; fail loudly.
-		panic(err)
-	}
-
 	var timings []Timing
-	start := time.Now()
-	sess := NewSession(pkgs)
-	for _, a := range All() {
-		if a.Init != nil {
-			a.Init(sess)
-		}
-	}
-	timings = append(timings, Timing{Analyzer: "session", Duration: time.Since(start)})
-
 	var raw []Diagnostic
-	for _, a := range ordered {
+	for _, a := range analyzers {
 		t0 := time.Now()
 		for _, pkg := range pkgs {
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, Sess: sess, diags: &raw})
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &raw})
 		}
 		timings = append(timings, Timing{Analyzer: a.Name, Duration: time.Since(t0)})
 	}
-	raw = dedup(raw)
 
 	sup, malformed := collectSuppressions(pkgs)
 	var out []Diagnostic
@@ -213,7 +159,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 		out = append(out, d)
 	}
 	out = append(out, malformed...)
-	out = append(out, staleSuppressions(sup, ordered)...)
+	out = append(out, staleSuppressions(sup, analyzers)...)
 
 	for i := range out {
 		out[i].File = out[i].Pos.Filename
@@ -234,23 +180,6 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 		return a.Analyzer < b.Analyzer
 	})
 	return out, timings
-}
-
-// dedup removes repeated identical findings: dataflow loop fixpoints visit
-// loop bodies more than once, and the same violation re-reported from a
-// later iteration carries no new information.
-func dedup(diags []Diagnostic) []Diagnostic {
-	seen := map[string]bool{}
-	var out []Diagnostic
-	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d:%d:%s:%s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, d)
-	}
-	return out
 }
 
 // staleSuppressions turns unused directives into findings. Two rounds: the

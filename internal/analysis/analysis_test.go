@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
-	"go/types"
 	"regexp"
 	"strings"
 	"testing"
@@ -223,150 +221,6 @@ func TestStaleSuppression(t *testing.T) {
 	}
 }
 
-// fixtureFunc resolves a declared fixture function by name (and receiver
-// type name, when the name alone is ambiguous).
-func fixtureFunc(t *testing.T, sess *Session, name string) *types.Func {
-	t.Helper()
-	var found *types.Func
-	for _, fn := range sess.Graph.Funcs() {
-		if fn.Name() != name {
-			continue
-		}
-		if found != nil {
-			t.Fatalf("fixture function %q is ambiguous", name)
-		}
-		found = fn
-	}
-	if found == nil {
-		t.Fatalf("fixture function %q not found", name)
-	}
-	return found
-}
-
-// TestCallGraphCone pins the call-graph layer on a known cone of the
-// fixture tree: outerPath -> midPath -> snap -> (atomic load). Callers,
-// shortest paths, loader-fact propagation, and the deliberate exclusion of
-// closure bodies are all load-bearing for snapshotonce's diagnostics.
-func TestCallGraphCone(t *testing.T) {
-	pkgs := loadFixtures(t)
-	sess := NewSession(pkgs)
-	SnapshotOnce.Init(sess)
-
-	snap := fixtureFunc(t, sess, "snap")
-	mid := fixtureFunc(t, sess, "midPath")
-	outer := fixtureFunc(t, sess, "outerPath")
-	lit := fixtureFunc(t, sess, "dispatcherLit")
-
-	callers := map[string]bool{}
-	for _, fn := range sess.Graph.Callers(snap) {
-		callers[fn.Name()] = true
-	}
-	for _, want := range []string{"midPath", "helperReload", "reloadSwap", "threaded"} {
-		if !callers[want] {
-			t.Errorf("Callers(snap) is missing %s (got %v)", want, callers)
-		}
-	}
-	// dispatcherLit calls snap only inside a closure: no static edge.
-	if callers["dispatcherLit"] {
-		t.Error("Callers(snap) includes dispatcherLit: closure bodies must not contribute edges")
-	}
-
-	if path := sess.Graph.PathTo(outer, snap); len(path) != 2 {
-		t.Errorf("PathTo(outerPath, snap) = %d hops, want 2 (via midPath)", len(path))
-	} else if path[0].Callee != mid || path[1].Callee != snap {
-		t.Errorf("PathTo(outerPath, snap) routes %s -> %s, want midPath -> snap",
-			path[0].Callee.Name(), path[1].Callee.Name())
-	}
-	if sess.Graph.PathTo(snap, outer) != nil {
-		t.Error("PathTo(snap, outerPath) found a reverse path in an acyclic cone")
-	}
-
-	// Loader facts: the BFS must reach outerPath through midPath, and must
-	// not mark dispatcherLit (its only load is inside the literal).
-	if sess.ImportFact(outer, loaderFactName) == nil {
-		t.Error("outerPath has no loader fact: BFS propagation missed a transitive pin")
-	}
-	if sess.ImportFact(lit, loaderFactName) != nil {
-		t.Error("dispatcherLit has a loader fact: closure loads must not count for the declarer")
-	}
-	if len(sess.PrimLoads(snap)) != 1 {
-		t.Errorf("PrimLoads(snap) = %d sites, want 1", len(sess.PrimLoads(snap)))
-	}
-}
-
-// TestDataflowEngine drives the abstract interpreter directly with a
-// recording config, pinning the three domain behaviors the analyzers rely
-// on: err-nil refinement (taint cleared only on the err-is-nil side),
-// must-held lock tracking through defer Unlock, and ctx-derived seeding of
-// context parameters.
-func TestDataflowEngine(t *testing.T) {
-	pkgs := loadFixtures(t)
-	sess := NewSession(pkgs)
-	var srv *Package
-	for _, pkg := range pkgs {
-		if strings.HasSuffix(pkg.PkgPath, "internal/server") {
-			srv = pkg
-		}
-	}
-	if srv == nil {
-		t.Fatal("fixture internal/server package not loaded")
-	}
-
-	var maskTaints []bool
-	heldAtReturn := map[string]bool{}
-	var ctxDerived bool
-	cfg := &flowConfig{
-		errSource: isErrTaintSource,
-		visit: func(c *flowCtx, n ast.Node, st *flowState) {
-			ret, isRet := n.(*ast.ReturnStmt)
-			if !isRet {
-				return
-			}
-			switch c.Fn.Name.Name {
-			case "maskError":
-				maskTaints = append(maskTaints, c.Value(ret.Results[0])&SrcErrTainted != 0)
-			case "good", "bad":
-				heldAtReturn[c.Fn.Name.Name] = st.Held("r.mu")
-			case "threadedCtx":
-				ctxDerived = c.Value(ret.Results[0])&SrcCtx != 0
-			}
-		},
-	}
-	runFlow(sess, srv, cfg)
-
-	if len(maskTaints) != 2 || !maskTaints[0] || maskTaints[1] {
-		t.Errorf("maskError taint at returns = %v, want [true false] (err != nil keeps taint, fall-through clears it)", maskTaints)
-	}
-	if !heldAtReturn["good"] {
-		t.Error("good: r.mu not held at return despite Lock + defer Unlock")
-	}
-	if heldAtReturn["bad"] {
-		t.Error("bad: r.mu reported held with no Lock anywhere")
-	}
-	if !ctxDerived {
-		t.Error("threadedCtx: derived context lost the SrcCtx bit")
-	}
-}
-
-// TestSnapshotTrace asserts that an indirect snapshotonce finding carries
-// the call-path trace down to the primitive atomic load: helperReload
-// re-pins through snap(), so the diagnostic's first trace hop must be the
-// load site inside snap.
-func TestSnapshotTrace(t *testing.T) {
-	pkgs := loadFixtures(t)
-	for _, d := range Run(pkgs, All()) {
-		if d.Analyzer != "snapshotonce" || !strings.Contains(d.File, "snapshot.go") || len(d.Trace) == 0 {
-			continue
-		}
-		step := d.Trace[0]
-		if step.Func != "snap" || !strings.Contains(step.File, "snapshot.go") || step.Line == 0 {
-			t.Errorf("trace step %+v, want the atomic load inside snap", step)
-		}
-		return
-	}
-	t.Error("no snapshotonce finding carried a call-path trace")
-}
-
 // TestRecoveryVisaInScope pins the lint round 2 scope extension: the
 // recovery and visa layers run under request/drain deadlines, so the
 // serving-path invariants (bounded sends, context threading) must cover
@@ -382,30 +236,6 @@ func TestRecoveryVisaInScope(t *testing.T) {
 		if pathWithinAny(pkg, goroutineOwners) {
 			t.Errorf("nakedgo exempts %s: it must use internal/parallel, not own goroutines", pkg)
 		}
-	}
-}
-
-// TestNeedsOrder pins the fact-scheduling contract: producers run before
-// consumers, and a Needs cycle is a loud error rather than a silent
-// reorder.
-func TestNeedsOrder(t *testing.T) {
-	ordered, err := orderByNeeds(All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := map[string]int{}
-	for i, a := range ordered {
-		idx[a.Name] = i
-	}
-	for _, consumer := range []string{"versionkey", "failclosed"} {
-		if idx[consumer] < idx["snapshotonce"] {
-			t.Errorf("%s ordered before its producer snapshotonce", consumer)
-		}
-	}
-	a := &Analyzer{Name: "a", Needs: []string{"b"}}
-	b := &Analyzer{Name: "b", Needs: []string{"a"}}
-	if _, err := orderByNeeds([]*Analyzer{a, b}); err == nil {
-		t.Error("orderByNeeds accepted a dependency cycle")
 	}
 }
 

@@ -2,13 +2,12 @@ package analysis
 
 import "testing"
 
-// The lint benchmarks price the dataflow round against the PR 4 per-file
-// baseline on the same loaded tree. Loading and type-checking happen once
-// outside the timed loop — the measured cost is one Run: session build
-// (call graph, primitive summaries, every Init) plus the analyzer sweeps.
-// The session is shared overhead in both measurements, so the gate
-// (`make lint-bench`: full <= 2x baseline) prices exactly what round 2
-// added — the four dataflow walks and the fact propagation.
+// The lint benchmarks price a full run against the per-file baseline on
+// the same loaded tree. Loading and type-checking happen once outside
+// the timed loop, so the measured cost is one Run: the analyzer sweeps.
+// Since the dataflow analyzers were retired, the baseline set is the whole
+// analyzer set, and the gate (`make lint-bench`: full <= 2x baseline)
+// catches an analyzer added later whose cost outgrows the per-file walks.
 
 func benchLint(b *testing.B, analyzers []*Analyzer) {
 	pkgs, err := Load("../..", "./...")
@@ -21,8 +20,8 @@ func benchLint(b *testing.B, analyzers []*Analyzer) {
 	}
 }
 
-// BenchmarkLintBaseline runs the pre-dataflow analyzer set (PR 4 scope:
-// per-file AST walks only).
+// BenchmarkLintBaseline runs the per-file analyzer set that predates the
+// dataflow analyzers.
 func BenchmarkLintBaseline(b *testing.B) {
 	base, err := ByName("nakedgo,weightsguard,determinism,atomics,boundedqueue,ctxflow,zeroalloc")
 	if err != nil {
@@ -31,7 +30,7 @@ func BenchmarkLintBaseline(b *testing.B) {
 	benchLint(b, base)
 }
 
-// BenchmarkLintFull runs all eleven analyzers — the `make lint` set.
+// BenchmarkLintFull runs every analyzer: the `make lint` set.
 func BenchmarkLintFull(b *testing.B) {
 	benchLint(b, All())
 }

@@ -36,14 +36,6 @@ func interruptibleBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// threadedCtx derives a bounded context from the caller's: the dataflow
-// engine test asserts the returned context keeps its ctx-derived bit.
-func threadedCtx(ctx context.Context, d time.Duration) context.Context {
-	qctx, cancel := context.WithTimeout(ctx, d)
-	_ = cancel
-	return qctx
-}
-
 // lifetimeRoot is the sanctioned escape hatch: a justified suppression.
 func lifetimeRoot() (context.Context, context.CancelFunc) {
 	//lint:ignore ctxflow fixture: process-lifetime root, cancelled by the owner on shutdown

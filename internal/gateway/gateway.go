@@ -107,9 +107,9 @@ type replica struct {
 	healthy atomic.Bool
 
 	mu          sync.Mutex
-	consecFails int                 //mpass:guardedby mu
-	lastStatus  server.HealthStatus //mpass:guardedby mu — most recent decoded /healthz document
-	lastProbe   time.Time           //mpass:guardedby mu
+	consecFails int                 // guarded by mu
+	lastStatus  server.HealthStatus // guarded by mu — most recent decoded /healthz document
+	lastProbe   time.Time           // guarded by mu
 
 	// inflightAttacks counts attack submits this gateway currently has
 	// outstanding against the replica — the freshness correction on top of

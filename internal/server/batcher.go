@@ -42,7 +42,7 @@ type Batcher struct {
 	drained *DrainRate // flushed requests; the scan-shed Retry-After hint
 
 	mu     sync.RWMutex // guards closed vs. in-flight submissions
-	closed bool         //mpass:guardedby mu
+	closed bool         // guarded by mu
 	reqs   chan *scanReq
 	done   chan struct{} // dispatcher exited
 }

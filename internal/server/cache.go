@@ -25,8 +25,8 @@ type scoreCache struct {
 	mu  sync.Mutex
 	cap int // immutable after construction
 	// front = most recently used
-	ll    *list.List                 //mpass:guardedby mu
-	items map[scoreKey]*list.Element //mpass:guardedby mu
+	ll    *list.List                 // guarded by mu
+	items map[scoreKey]*list.Element // guarded by mu
 }
 
 type cacheEntry struct {

@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -116,5 +117,31 @@ func TestScoreCacheDisabled(t *testing.T) {
 		if c.len() != 0 {
 			t.Fatalf("capacity %d: len = %d", capacity, c.len())
 		}
+	}
+}
+
+// TestScoreCacheConcurrentAccess drives get, put and purge from several
+// goroutines at once. Under -race it proves that each of them takes the
+// cache's lock.
+func TestScoreCacheConcurrentAccess(t *testing.T) {
+	c := newScoreCache(8)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := cacheKey(i % 16)
+				c.put(key, cacheOut(i))
+				c.get(key)
+				if i%50 == 49 {
+					c.purge()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := c.len(); n > 8 {
+		t.Fatalf("len = %d, want at most the capacity 8", n)
 	}
 }

@@ -96,12 +96,12 @@ type JobView struct {
 // of leaking every result ever produced.
 type jobRegistry struct {
 	mu   sync.Mutex
-	jobs map[string]*job //mpass:guardedby mu
+	jobs map[string]*job // guarded by mu
 	// finished holds job ids in finish order (the eviction queue); fhead is
 	// the index of the oldest un-evicted entry.
-	finished []string //mpass:guardedby mu
-	fhead    int      //mpass:guardedby mu
-	seq      int64    //mpass:guardedby mu
+	finished []string // guarded by mu
+	fhead    int      // guarded by mu
+	seq      int64    // guarded by mu
 	pool     *parallel.Pool
 
 	deadline time.Duration // per-job runtime cap (0 = none)

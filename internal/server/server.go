@@ -322,7 +322,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // scan runs the cache -> batcher pipeline. The caller passes the one
-// generation snapshot it pinned for this request (snapshotonce): scan must
+// generation snapshot it pinned for this request: scan must
 // not re-load the registry, or the lookup and the response could straddle a
 // concurrent reload and mix generations. A full queue sheds the request
 // (ErrOverloaded); oracle queries take the batcher's backpressure path
@@ -539,8 +539,8 @@ type DrainRate struct {
 
 	mu sync.Mutex
 	// sec holds the unix second each bucket of n counts.
-	sec [drainSecs]int64 //mpass:guardedby mu
-	n   [drainSecs]int64 //mpass:guardedby mu
+	sec [drainSecs]int64 // guarded by mu
+	n   [drainSecs]int64 // guarded by mu
 }
 
 // NewDrainRate returns an empty window whose owner started at start.

@@ -14,10 +14,10 @@ import (
 // package free of wall-clock reads of its own.
 type bucket struct {
 	mu     sync.Mutex
-	rate   float64   //mpass:guardedby mu
-	burst  float64   //mpass:guardedby mu
-	tokens float64   //mpass:guardedby mu
-	last   time.Time //mpass:guardedby mu
+	rate   float64   // guarded by mu
+	burst  float64   // guarded by mu
+	tokens float64   // guarded by mu
+	last   time.Time // guarded by mu
 }
 
 // newBucket starts full: a freshly admitted tenant gets its whole burst.
