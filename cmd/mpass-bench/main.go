@@ -30,7 +30,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool size for training, scoring, and attacks (0 = GOMAXPROCS)")
 	outPath := flag.String("out", "", "also write the report to this file")
 	csvDir := flag.String("csv", "", "also export grids as CSV into this directory")
-	quant := flag.String("quant", "off", "fixed-point inference tables for the neural detectors: off, int16, or int32")
+	quant := flag.String("quant", "off", "fixed-point inference tables for the neural detectors: off or int32")
 	flag.Parse()
 
 	qmode, err := nn.ParseQuantMode(*quant)

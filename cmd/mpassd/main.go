@@ -52,7 +52,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8877", "listen address (port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address here once listening (for scripts using port 0)")
 	models := flag.String("models", "", "model path: per-engine envelope dir; loaded if present, else trained and saved here")
-	withRNN := flag.Bool("rnn", false, "also serve the RNN perplexity engine (trained in-process when not in the model path)")
 	seed := flag.Int64("seed", 1, "corpus/training seed when models are trained in-process")
 	nMal := flag.Int("malware", 60, "malware samples in the training corpus")
 	nBen := flag.Int("benign", 60, "benign samples in the training corpus")
@@ -67,7 +66,7 @@ func main() {
 	attackQueue := flag.Int("attack-queue", 64, "attack admission queue; full sheds with 429")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-	quant := flag.String("quant", "off", "fixed-point inference tables for the neural detectors: off, int16, or int32")
+	quant := flag.String("quant", "off", "fixed-point inference tables for the neural detectors: off or int32")
 	streamThreshold := flag.Int64("stream-threshold", 1<<20, "scan bodies longer than this stream in O(chunk) memory (negative disables streaming)")
 	streamChunk := flag.Int("stream-chunk", 256<<10, "streaming scan read size")
 	maxStreamBytes := flag.Int64("max-stream-bytes", 64<<20, "largest accepted streamed scan body (413 beyond)")
@@ -93,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	set, err := loadOrTrain(*models, *seed, *nMal, *nBen, *workers, *withRNN)
+	set, err := loadOrTrain(*models, *seed, *nMal, *nBen, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -259,67 +258,39 @@ wait:
 }
 
 // loadOrTrain resolves the resident engine set: load the model path when it
-// exists, otherwise train from the seed and persist per-engine envelopes
-// there when a path was given. -rnn adds the RNN perplexity engine,
-// training it in-process when the loaded set lacks one.
-func loadOrTrain(path string, seed int64, nMal, nBen, workers int, withRNN bool) (*engine.Set, error) {
-	var set *engine.Set
-	trained := false
+// exists, otherwise train the offline suite from the seed and persist its
+// per-engine envelopes there when a path was given.
+func loadOrTrain(path string, seed int64, nMal, nBen, workers int) (*engine.Set, error) {
 	if path != "" {
 		loaded, src, err := engine.LoadPath(path)
 		if err == nil {
 			log.Printf("loaded models from %s", src)
-			set = loaded
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("loading %s: %w", path, err)
-		} else {
-			log.Printf("%s not found, training from seed %d", path, seed)
+			return loaded, nil
 		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("loading %s: %w", path, err)
+		}
+		log.Printf("%s not found, training from seed %d", path, seed)
 	} else {
 		log.Printf("no -models path, training from seed %d", seed)
 	}
 
-	if set == nil {
-		start := time.Now()
-		ds := corpus.MakeAugmentedDataset(seed, nMal, nBen, 0.67)
-		cfg := detect.DefaultTrainConfig()
-		cfg.Seed = seed
-		cfg.Workers = workers
-		suite, err := detect.TrainSuite(ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		set, err = engine.FromSuite(suite)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("trained offline suite in %v", time.Since(start).Round(time.Millisecond))
-		trained = true
+	start := time.Now()
+	ds := corpus.MakeAugmentedDataset(seed, nMal, nBen, 0.67)
+	cfg := detect.DefaultTrainConfig()
+	cfg.Seed = seed
+	cfg.Workers = workers
+	suite, err := detect.TrainSuite(ds, cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	if withRNN {
-		if _, ok := set.Get("RNN-PPL"); !ok {
-			start := time.Now()
-			rcfg := engine.DefaultRNNConfig()
-			rcfg.Seed = seed
-			rnn, err := engine.TrainRNN(corpus.MakeAugmentedDataset(seed, nMal, nBen, 0.67), rcfg)
-			if err != nil {
-				return nil, err
-			}
-			drv, err := engine.NewRNNDriver(rnn)
-			if err != nil {
-				return nil, err
-			}
-			set, err = engine.NewSet(append(set.Drivers(), drv)...)
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("trained RNN engine in %v", time.Since(start).Round(time.Millisecond))
-			trained = true
-		}
+	set, err := engine.FromSuite(suite)
+	if err != nil {
+		return nil, err
 	}
+	log.Printf("trained offline suite in %v", time.Since(start).Round(time.Millisecond))
 
-	if trained && path != "" {
+	if path != "" {
 		if err := engine.SaveDir(path, set); err != nil {
 			return nil, fmt.Errorf("saving %s: %w", path, err)
 		}

@@ -177,10 +177,10 @@ func TestTenantInScope(t *testing.T) {
 }
 
 // TestEngineInScope pins the PR 8 scope extension: the engine driver layer
-// scores (the RNN detector), trains, and derives content-addressed versions,
+// derives content-addressed versions and orders the known-model ensemble,
 // so the determinism analyzer must cover it. Dropping internal/engine from
-// scorePackages would let wall-clock or unseeded randomness leak into engine
-// versions and RNN scores unnoticed. The evaluation harness is covered for
+// scorePackages would let wall-clock or unseeded randomness leak into
+// engine versions unnoticed. The evaluation harness is covered for
 // the same reason: its tables fold model scores, and a fold over a map
 // would make their last bits depend on iteration order.
 func TestEngineInScope(t *testing.T) {

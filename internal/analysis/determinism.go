@@ -11,11 +11,11 @@ import (
 // the two model families, the tensor kernels under them, the feature
 // extractor feeding the tree model (buffered and streaming paths), the
 // detector layer, the Shapley explainer, the attack core that consumes
-// gradients and oracle scores, the engine driver layer (its RNN detector
-// scores and trains, and its content-addressed versions must be a pure
-// function of the weights), and the eval harness that folds scores into
-// tables. Everything the repo reports is a pure function of (seed, corpus,
-// config) only as long as these stay deterministic.
+// gradients and oracle scores, the engine driver layer (its
+// content-addressed versions must be a pure function of the weights), and
+// the eval harness that folds scores into tables. Everything the repo
+// reports is a pure function of (seed, corpus, config) only as long as
+// these stay deterministic.
 var scorePackages = []string{
 	"internal/nn",
 	"internal/gbdt",

@@ -20,8 +20,10 @@ func benchLint(b *testing.B, analyzers []*Analyzer) {
 	}
 }
 
-// BenchmarkLintBaseline runs the per-file analyzer set that predates the
-// dataflow analyzers.
+// BenchmarkLintBaseline runs the seven analyzers pinned here by name. The
+// lint-bench gate compares it with BenchmarkLintFull, so it catches an
+// analyzer added to All() beyond these seven that more than doubles the
+// run.
 func BenchmarkLintBaseline(b *testing.B) {
 	base, err := ByName("nakedgo,weightsguard,determinism,atomics,boundedqueue,ctxflow,zeroalloc")
 	if err != nil {

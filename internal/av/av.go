@@ -551,15 +551,3 @@ func maxF(a, b float64) float64 {
 	}
 	return b
 }
-
-// NoveltyProbe exposes the novelty member's distance for calibration and
-// diagnostics (cmd/mpass-bench prints these distributions).
-type NoveltyProbe struct{ m *noveltyMember }
-
-// NewNoveltyProbe builds a probe over a benign reference corpus.
-func NewNoveltyProbe(benign [][]byte) *NoveltyProbe {
-	return &NoveltyProbe{m: newNoveltyMember(benign, 0)}
-}
-
-// Distance returns the z-scored nearest-benign distance for raw.
-func (p *NoveltyProbe) Distance(raw []byte) float64 { return p.m.distance(raw) }

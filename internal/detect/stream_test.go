@@ -59,18 +59,14 @@ func TestStreamingMatchesScore(t *testing.T) {
 	}
 }
 
-// quantEvalBounds are the certified per-mode score-deviation bounds over
-// the eval corpus; make quant-parity runs this file as the release gate.
-var quantEvalBounds = map[nn.QuantMode]float64{
-	nn.QuantInt32: 1e-6,
-	nn.QuantInt16: 1e-3,
-}
+// quantEvalBound is the certified int32 score-deviation bound over the
+// eval corpus.
+const quantEvalBound = 1e-6
 
 // TestQuantParityOnEvalCorpus is the quantization error-bound gate from
 // the serving spec: across the full eval corpus (train + test splits),
 // int32 fixed-point scores of every neural detector must stay within 1e-6
-// of the float64 reference and flip zero hard labels. The int16 variant
-// gets the looser measured bound.
+// of the float64 reference and flip zero hard labels.
 func TestQuantParityOnEvalCorpus(t *testing.T) {
 	mc, nng, _, gcg := models(t)
 	dets := []*ConvDetector{mc, nng, gcg}
@@ -83,31 +79,29 @@ func TestQuantParityOnEvalCorpus(t *testing.T) {
 	for i, d := range dets {
 		ref[i] = ScoreAll(d, raws, 0)
 	}
-	for mode, bound := range quantEvalBounds {
-		setQuantMode(mode, dets...)
-		for i, d := range dets {
-			got := ScoreAll(d, raws, 0)
-			var maxDev float64
-			flips := 0
-			for j := range raws {
-				dev := got[j] - ref[i][j]
-				if dev < 0 {
-					dev = -dev
-				}
-				if dev > maxDev {
-					maxDev = dev
-				}
-				if (got[j] >= d.Threshold) != (ref[i][j] >= d.Threshold) {
-					flips++
-				}
+	setQuantMode(nn.QuantInt32, dets...)
+	for i, d := range dets {
+		got := ScoreAll(d, raws, 0)
+		var maxDev float64
+		flips := 0
+		for j := range raws {
+			dev := got[j] - ref[i][j]
+			if dev < 0 {
+				dev = -dev
 			}
-			if maxDev > bound {
-				t.Errorf("%s mode %v: max |dev| %.3g over %d samples exceeds %.0g",
-					d.Name(), mode, maxDev, len(raws), bound)
+			if dev > maxDev {
+				maxDev = dev
 			}
-			if flips != 0 {
-				t.Errorf("%s mode %v: %d label flips, want 0", d.Name(), mode, flips)
+			if (got[j] >= d.Threshold) != (ref[i][j] >= d.Threshold) {
+				flips++
 			}
+		}
+		if maxDev > quantEvalBound {
+			t.Errorf("%s: max int32 |dev| %.3g over %d samples exceeds %.0g",
+				d.Name(), maxDev, len(raws), quantEvalBound)
+		}
+		if flips != 0 {
+			t.Errorf("%s: int32 flips %d labels, want 0", d.Name(), flips)
 		}
 	}
 }

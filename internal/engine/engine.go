@@ -1,6 +1,6 @@
 // Package engine is the pluggable detector-driver layer: every resident
-// model — the gated-conv networks, the boosted-tree ensemble, the recurrent
-// byte LM, and any wrapped detect.Detector — sits behind one Driver interface
+// model — the gated-conv networks, the boosted-tree ensemble, and any
+// wrapped detect.Detector — sits behind one Driver interface
 // (score, batch-score, threshold, health, version), and a Registry holds the
 // active Set behind an atomic pointer so a freshly loaded model set swaps in
 // under live traffic without a restart.
@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"mpass/internal/detect"
@@ -55,7 +54,7 @@ type Unwrapper interface {
 }
 
 // Quantizer is the fixed-point capability: engines whose inference tables
-// can switch between float64 and int16/int32 modes (the gated-conv family).
+// can switch between float64 and int32 modes (the gated-conv family).
 type Quantizer interface {
 	SetQuantMode(m nn.QuantMode)
 }
@@ -76,8 +75,8 @@ func StreamerOf(d Driver) (detect.Streamer, bool) {
 
 // GradientOf probes d for the differentiable-score capability, looking
 // through wrappers. Engines with it can join the MPass known-model ensemble;
-// hard-label-only engines (trees, the recurrent LM) never can — the paper's
-// footnote 6 exclusion falls out of the probe instead of a hardcoded list.
+// hard-label-only engines (trees) never can — the paper's footnote 6
+// exclusion falls out of the probe instead of a hardcoded list.
 func GradientOf(d Driver) (detect.GradientModel, bool) {
 	if g, ok := d.(detect.GradientModel); ok {
 		return g, true
@@ -208,14 +207,12 @@ func (s *Set) SetQuantMode(m nn.QuantMode) {
 	}
 }
 
-// Registry is the named-driver registry: the current Set sits behind an
-// atomic pointer for lock-free readers (every scan, every oracle query),
-// while swaps and registrations serialize on a mutex. A reader that loads
-// the pointer holds a consistent generation for as long as it keeps the
-// *Set — in-flight work finishes on the old generation while new work sees
-// the new one.
+// Registry holds the active Set behind an atomic pointer: readers (every
+// scan, every oracle query) and Swap never lock. A reader that loads the
+// pointer holds a consistent generation for as long as it keeps the *Set —
+// in-flight work finishes on the old generation while new work sees the new
+// one.
 type Registry struct {
-	mu  sync.Mutex
 	cur atomic.Pointer[Set]
 }
 
@@ -233,27 +230,11 @@ func NewRegistry(initial *Set) (*Registry, error) {
 func (r *Registry) Current() *Set { return r.cur.Load() }
 
 // Swap atomically replaces the active set and returns the previous one.
+// Concurrent swaps each get a distinct previous set: every generation is
+// returned by exactly one Swap or is still current.
 func (r *Registry) Swap(next *Set) (*Set, error) {
 	if next == nil {
 		return nil, fmt.Errorf("engine: cannot swap in a nil set")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	prev := r.cur.Load()
-	r.cur.Store(next)
-	return prev, nil
-}
-
-// Register appends a driver to the active set (copy-on-write: readers of the
-// previous generation are unaffected). It fails on name collisions.
-func (r *Registry) Register(d Driver) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := r.cur.Load()
-	next, err := NewSet(append(append([]Driver(nil), cur.drivers...), d)...)
-	if err != nil {
-		return err
-	}
-	r.cur.Store(next)
-	return nil
+	return r.cur.Swap(next), nil
 }

@@ -12,16 +12,15 @@ import (
 )
 
 // Shared fixtures: detector training dominates this package's test time, so
-// the suite, the RNN, and the probe corpus slice are built exactly once.
+// the suite and the probe corpus slice are built exactly once.
 var (
 	fixOnce  sync.Once
 	fixSuite *detect.Suite
-	fixRNN   *RNNDetector
 	fixRaws  [][]byte
 	fixErr   error
 )
 
-func fixtures(t *testing.T) (*detect.Suite, *RNNDetector, [][]byte) {
+func fixtures(t *testing.T) (*detect.Suite, [][]byte) {
 	t.Helper()
 	fixOnce.Do(func() {
 		ds := corpus.MakeDataset(7, 16, 16, 0.75)
@@ -29,10 +28,6 @@ func fixtures(t *testing.T) (*detect.Suite, *RNNDetector, [][]byte) {
 		cfg.Epochs = 4
 		cfg.TargetFPR = 0.05
 		fixSuite, fixErr = detect.TrainSuite(ds, cfg)
-		if fixErr != nil {
-			return
-		}
-		fixRNN, fixErr = TrainRNN(ds, DefaultRNNConfig())
 		if fixErr != nil {
 			return
 		}
@@ -46,24 +41,16 @@ func fixtures(t *testing.T) (*detect.Suite, *RNNDetector, [][]byte) {
 	if fixErr != nil {
 		t.Fatalf("building fixtures: %v", fixErr)
 	}
-	return fixSuite, fixRNN, fixRaws
+	return fixSuite, fixRaws
 }
 
-// fullSet is the suite plus the RNN engine — every persistable driver kind.
+// fullSet is the trained suite as a Set — every persistable driver kind.
 func fullSet(t *testing.T) *Set {
 	t.Helper()
-	suite, rnn, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	set, err := FromSuite(suite)
 	if err != nil {
 		t.Fatalf("FromSuite: %v", err)
-	}
-	drv, err := NewRNNDriver(rnn)
-	if err != nil {
-		t.Fatalf("NewRNNDriver: %v", err)
-	}
-	set, err = NewSet(append(append([]Driver(nil), set.Drivers()...), drv)...)
-	if err != nil {
-		t.Fatalf("NewSet: %v", err)
 	}
 	return set
 }
@@ -190,33 +177,77 @@ func TestRegistrySwapIsolation(t *testing.T) {
 	if _, err := r.Swap(nil); err == nil {
 		t.Fatal("Swap accepted nil")
 	}
-}
 
-func TestRegistryRegisterCopiesOnWrite(t *testing.T) {
-	initial, _ := NewSet(stub("A", "v1"))
-	r, _ := NewRegistry(initial)
-	held := r.Current()
-	if err := r.Register(stub("B", "v1")); err != nil {
-		t.Fatalf("Register: %v", err)
+	// Concurrent swappers and readers: each set swapped in leaves the
+	// registry exactly once, as one swapper's prev or as the final
+	// Current, so no generation is lost or handed to two swappers.
+	const swappers, perSwapper = 4, 50
+	sets := map[*Set]bool{next: true}
+	fresh := make([][]*Set, swappers)
+	for w := range fresh {
+		for i := 0; i < perSwapper; i++ {
+			s, _ := NewSet(stub("A", "v1"))
+			fresh[w] = append(fresh[w], s)
+			sets[s] = true
+		}
 	}
-	if r.Current().Len() != 2 {
-		t.Fatalf("registered set has %d members, want 2", r.Current().Len())
+	prevs := make([][]*Set, swappers)
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if cur := r.Current(); cur == nil || !sets[cur] {
+					t.Error("Current() returned a set that was never swapped in")
+					return
+				}
+			}
+		}()
 	}
-	if held.Len() != 1 {
-		t.Fatal("Register mutated the previous generation")
+	for w := 0; w < swappers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for _, s := range fresh[w] {
+				prev, err := r.Swap(s)
+				if err != nil {
+					t.Errorf("Swap: %v", err)
+					return
+				}
+				prevs[w] = append(prevs[w], prev)
+			}
+		}(w)
 	}
-	if err := r.Register(stub("A", "v9")); err == nil {
-		t.Fatal("Register accepted a name collision")
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	seen := map[*Set]int{r.Current(): 1}
+	for _, ps := range prevs {
+		for _, p := range ps {
+			seen[p]++
+		}
 	}
-	if r.Current().Len() != 2 {
-		t.Fatal("failed Register changed the active set")
+	for s := range sets {
+		if seen[s] != 1 {
+			t.Fatalf("a swapped-in set left the registry %d times, want exactly once", seen[s])
+		}
+	}
+	if len(seen) != len(sets) {
+		t.Fatalf("%d distinct sets left the registry, %d were swapped in", len(seen), len(sets))
 	}
 }
 
 // TestGradientModelsKnownModelRule pins MPass's known-model rule (paper
 // footnote 6) on the full set: every gradient-capable member except the
-// target, in set order. LightGBM and the recurrent RNN-PPL never qualify, so
-// they and external targets get all three conv nets.
+// target, in set order. LightGBM never qualifies, so it and external targets
+// get all three conv nets.
 func TestGradientModelsKnownModelRule(t *testing.T) {
 	set := fullSet(t)
 	convs := []string{"MalConv", "NonNeg", "MalGCG"}
@@ -228,7 +259,6 @@ func TestGradientModelsKnownModelRule(t *testing.T) {
 		{"NonNeg", []string{"MalConv", "MalGCG"}},
 		{"LightGBM", convs},
 		{"MalGCG", []string{"MalConv", "NonNeg"}},
-		{"RNN-PPL", convs},
 		{"AV1", convs},
 	} {
 		var got []string
@@ -246,20 +276,24 @@ func TestGradientModelsKnownModelRule(t *testing.T) {
 
 // TestGradientModelsMatchSuiteKnownFor: the known-model ensemble the offline
 // harness computes on its suite-built set (FromSuite, as in eval.Setup) is the
-// one mpassd computes on its full set with the RNN added — same members, same
-// order — so served and offline attacks use one ensemble per target.
+// one mpassd computes on the set it loads from saved envelopes — same
+// members, same order — so served and offline attacks use one ensemble per
+// target.
 func TestGradientModelsMatchSuiteKnownFor(t *testing.T) {
-	suite, _, _ := fixtures(t)
-	offline, err := FromSuite(suite)
-	if err != nil {
-		t.Fatalf("FromSuite: %v", err)
+	offline := fullSet(t)
+	dir := t.TempDir()
+	if err := SaveDir(dir, offline); err != nil {
+		t.Fatalf("SaveDir: %v", err)
 	}
-	set := fullSet(t)
-	for _, target := range []string{"MalConv", "NonNeg", "LightGBM", "MalGCG", "RNN-PPL", "SomeExternalAV"} {
+	set, err := LoadDir(dir)
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	for _, target := range []string{"MalConv", "NonNeg", "LightGBM", "MalGCG", "SomeExternalAV"} {
 		want := GradientModels(offline, target)
 		got := GradientModels(set, target)
 		if len(got) != len(want) {
-			t.Fatalf("target %s: %d gradient models on the full set, the suite's set has %d",
+			t.Fatalf("target %s: %d gradient models on the loaded set, the suite's set has %d",
 				target, len(got), len(want))
 		}
 		for i := range want {
@@ -272,7 +306,7 @@ func TestGradientModelsMatchSuiteKnownFor(t *testing.T) {
 			switch g.Name() {
 			case target:
 				t.Fatalf("target %s included in its own known-model ensemble", target)
-			case "LightGBM", "RNN-PPL":
+			case "LightGBM":
 				t.Fatalf("non-differentiable engine %s passed the gradient probe", g.Name())
 			}
 		}
@@ -284,7 +318,7 @@ func TestGradientModelsMatchSuiteKnownFor(t *testing.T) {
 // the capability bit-identical, and QuantOff restores every float score bit
 // for bit.
 func TestSetQuantMode(t *testing.T) {
-	_, _, raws := fixtures(t)
+	_, raws := fixtures(t)
 	set := fullSet(t)
 	defer set.SetQuantMode(nn.QuantOff)
 	ref := make([][]float64, set.Len())
@@ -328,7 +362,7 @@ func TestSetQuantMode(t *testing.T) {
 // WrapDetector keeps its streaming/gradient/quantization capabilities
 // discoverable through Unwrap.
 func TestCapabilityProbesLookThroughWrappers(t *testing.T) {
-	suite, rnn, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	wrapped, err := WrapDetector(suite.MalConv, "")
 	if err != nil {
 		t.Fatal(err)
@@ -346,15 +380,15 @@ func TestCapabilityProbesLookThroughWrappers(t *testing.T) {
 		t.Fatal("quantizer capability lost through the wrapper")
 	}
 	// And the probes answer no, not panic, for engines without the capability.
-	rnnDrv, err := NewRNNDriver(rnn)
+	lgbm, err := NewGBDTDriver(suite.LGBM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := GradientOf(rnnDrv); ok {
-		t.Fatal("recurrent engine claimed the gradient capability")
+	if _, ok := GradientOf(lgbm); ok {
+		t.Fatal("tree engine claimed the gradient capability")
 	}
-	if _, ok := StreamerOf(rnnDrv); !ok {
-		t.Fatal("RNN engine lost its streaming capability")
+	if _, ok := StreamerOf(lgbm); !ok {
+		t.Fatal("tree engine lost its streaming capability")
 	}
 	if _, ok := QuantizerOf(stub("A", "v1")); ok {
 		t.Fatal("stub claimed the quantizer capability")
@@ -365,7 +399,7 @@ func TestCapabilityProbesLookThroughWrappers(t *testing.T) {
 // in §IV-A order, with thresholds intact, scoring bit-identically to the
 // wrapped suite members.
 func TestFromSuitePreservesPaperOrder(t *testing.T) {
-	suite, _, raws := fixtures(t)
+	suite, raws := fixtures(t)
 	set, err := FromSuite(suite)
 	if err != nil {
 		t.Fatal(err)
@@ -403,64 +437,6 @@ func TestFromSuitePreservesPaperOrder(t *testing.T) {
 	}
 }
 
-// TestRNNStreamMatchesBuffered is the RNN's streaming parity gate: feeding
-// the body in chunks of any size must produce exactly the buffered score —
-// same ops in the same order, the repo-wide bit-identity contract.
-func TestRNNStreamMatchesBuffered(t *testing.T) {
-	_, rnn, raws := fixtures(t)
-	for _, chunk := range []int{1, 7, 64, 1 << 20} {
-		for i, raw := range raws {
-			st := rnn.NewStream()
-			for at := 0; at < len(raw); at += chunk {
-				end := at + chunk
-				if end > len(raw) {
-					end = len(raw)
-				}
-				st.Feed(raw[at:end])
-			}
-			if got, want := st.Finish(), rnn.Score(raw); got != want {
-				t.Fatalf("chunk %d sample %d: streamed %v != buffered %v", chunk, i, got, want)
-			}
-		}
-	}
-	// Degenerate bodies: empty and single-byte streams have no predicted
-	// byte, so both paths saturate rather than divide by zero.
-	for _, raw := range [][]byte{nil, {0x4d}} {
-		st := rnn.NewStream()
-		st.Feed(raw)
-		if got, want := st.Finish(), rnn.Score(raw); got != want {
-			t.Fatalf("len %d: streamed %v != buffered %v", len(raw), got, want)
-		}
-	}
-}
-
-func TestRNNSeparatesFamilies(t *testing.T) {
-	_, rnn, _ := fixtures(t)
-	if rnn.Name() != "RNN-PPL" {
-		t.Fatalf("RNN name = %q", rnn.Name())
-	}
-	if rnn.Thresh < 0.5 || rnn.Thresh > 0.99 {
-		t.Fatalf("calibrated threshold %v outside [0.5, 0.99]", rnn.Thresh)
-	}
-	for i, raw := range corpusSplit(t, corpus.Benign, 8) {
-		if s := rnn.Score(raw); s < 0 || s > 1 {
-			t.Fatalf("benign %d: score %v outside [0, 1]", i, s)
-		}
-	}
-}
-
-// corpusSplit samples fresh raws of one family from the shared generator
-// seed, independent of the training split.
-func corpusSplit(t *testing.T, family corpus.Family, n int) [][]byte {
-	t.Helper()
-	g := corpus.NewGenerator(99)
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = g.Sample(family).Raw
-	}
-	return out
-}
-
 func TestDriverConstructorsRejectNil(t *testing.T) {
 	cases := []struct {
 		name string
@@ -468,7 +444,6 @@ func TestDriverConstructorsRejectNil(t *testing.T) {
 	}{
 		{"conv", func() error { _, err := NewConvDriver(nil); return err }()},
 		{"gbdt", func() error { _, err := NewGBDTDriver(nil); return err }()},
-		{"rnn", func() error { _, err := NewRNNDriver(nil); return err }()},
 		{"wrap", func() error { _, err := WrapDetector(nil, ""); return err }()},
 	}
 	for _, c := range cases {
@@ -478,23 +453,9 @@ func TestDriverConstructorsRejectNil(t *testing.T) {
 	}
 }
 
-func TestTrainRNNRejectsBadConfig(t *testing.T) {
-	_, _, _ = fixtures(t)
-	bad := DefaultRNNConfig()
-	bad.Hidden = 0
-	if _, err := TrainRNN(&corpus.Dataset{}, bad); err == nil {
-		t.Fatal("TrainRNN accepted Hidden=0")
-	}
-	ok := DefaultRNNConfig()
-	if _, err := TrainRNN(&corpus.Dataset{}, ok); err == nil {
-		t.Fatal("TrainRNN accepted an empty dataset")
-	}
-}
-
 // Compile-time interface checks for the test stub and the real drivers.
 var (
 	_ Driver = (*stubDriver)(nil)
 	_ Driver = (*ConvDriver)(nil)
 	_ Driver = (*GBDTDriver)(nil)
-	_ Driver = (*RNNDriver)(nil)
 )

@@ -25,7 +25,7 @@ import (
 type envelope struct {
 	Magic   string
 	Version int    // envelope format version
-	Kind    string // payload decoder selector: "conv", "gbdt", "rnn"
+	Kind    string // payload decoder selector: "conv" or "gbdt"
 	Name    string // engine name (duplicated out of the payload for listings)
 	Index   int    // position in suite order, so a directory load is ordered
 	Payload []byte // gob of the underlying detector
@@ -46,8 +46,6 @@ func engineKind(d Driver) (kind string, payload any, err error) {
 		return "conv", t.ConvDetector, nil
 	case *GBDTDriver:
 		return "gbdt", t.GBDTDetector, nil
-	case *RNNDriver:
-		return "rnn", t.RNNDetector, nil
 	default:
 		return "", nil, fmt.Errorf("engine: %s (%T) is runtime-only and has no envelope form", d.Name(), d)
 	}
@@ -112,12 +110,6 @@ func decodeEngine(env envelope) (Driver, error) {
 			return nil, fmt.Errorf("engine: gbdt payload %q: %w", env.Name, err)
 		}
 		return NewGBDTDriver(&det)
-	case "rnn":
-		var det RNNDetector
-		if err := decodePayload(env.Payload, &det); err != nil {
-			return nil, fmt.Errorf("engine: rnn payload %q: %w", env.Name, err)
-		}
-		return NewRNNDriver(&det)
 	default:
 		return nil, fmt.Errorf("engine: unknown engine kind %q (envelope %q)", env.Kind, env.Name)
 	}

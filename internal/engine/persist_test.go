@@ -13,13 +13,13 @@ import (
 )
 
 // TestEnvelopeRoundTripBitIdentity is the per-engine persistence gate: for
-// every persistable engine kind (conv, gbdt, rnn), save → load must yield
+// every persistable engine kind (conv, gbdt), save → load must yield
 // the same name, the same content-addressed version, the same threshold, and
 // bit-identical scores through both the single-sample and batched paths.
 // The version assertion is what the reload drill keys on — reloading the
 // same bytes must advertise the same generation.
 func TestEnvelopeRoundTripBitIdentity(t *testing.T) {
-	_, _, raws := fixtures(t)
+	_, raws := fixtures(t)
 	for _, d := range fullSet(t).Drivers() {
 		var buf bytes.Buffer
 		if err := SaveEngine(&buf, d, 3); err != nil {
@@ -73,7 +73,7 @@ func TestSaveEngineRejectsRuntimeOnly(t *testing.T) {
 		t.Fatal("SaveEngine accepted a runtime-only wrapped detector")
 	}
 	// A set containing one poisons the whole directory save.
-	suite, _, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestLoadEngineRejectsBadEnvelopes(t *testing.T) {
 	if _, _, err := LoadEngine(bytes.NewReader([]byte("not a gob stream"))); err == nil {
 		t.Fatal("LoadEngine accepted garbage")
 	}
-	suite, _, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestLoadEngineCorruptMagic(t *testing.T) {
 // convEnvelope is the encoded envelope of the fixture suite's MalConv.
 func convEnvelope(t *testing.T) []byte {
 	t.Helper()
-	suite, _, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func convEnvelope(t *testing.T) []byte {
 // member, through the batched and single-sample paths, and keeps its
 // thresholds and gradient-model geometry.
 func TestSuiteEnvelopeRoundTripParity(t *testing.T) {
-	suite, _, raws := fixtures(t)
+	suite, raws := fixtures(t)
 	set, err := FromSuite(suite)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestSuiteEnvelopeRoundTripParity(t *testing.T) {
 // path, score bit-identically to its float64 source, and — once the mode
 // is re-applied — rebuild quant tables that agree with the source's.
 func TestEnvelopeQuantRoundTrip(t *testing.T) {
-	suite, _, raws := fixtures(t)
+	suite, raws := fixtures(t)
 	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 // recorded Index, not filesystem listing order — a renamed file cannot
 // reorder the set.
 func TestLoadDirOrdersByRecordedIndex(t *testing.T) {
-	suite, _, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	set, err := FromSuite(suite)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +359,7 @@ func TestLoadDirOrdersByRecordedIndex(t *testing.T) {
 // file load; a legacy monolithic suite gob, junk, and a missing path are
 // refused.
 func TestLoadPathResolvesAllForms(t *testing.T) {
-	suite, _, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	set, err := FromSuite(suite)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestLoadPathResolvesAllForms(t *testing.T) {
 // TestSaveEngineFileAtomic: the temp-and-rename write never leaves a torn
 // file behind — after a save the directory holds exactly the target file.
 func TestSaveEngineFileAtomic(t *testing.T) {
-	suite, _, _ := fixtures(t)
+	suite, _ := fixtures(t)
 	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)

@@ -259,6 +259,16 @@ func newScanResponse(ms *engine.Set, out scanOut, key [32]byte, size int, cached
 		Gate: `go run ./cmd/mpass-lint -run determinism ./internal/eval`,
 	},
 
+	// A registry swap hands back the generation it replaced, so every set
+	// leaves the registry exactly once.
+	{
+		File: "internal/engine/engine.go",
+		Old:  `return r.cur.Swap(next), nil`,
+		New: `r.cur.Store(next)
+	return next, nil`,
+		Gate: `go test -run '^TestRegistrySwapIsolation$' ./internal/engine`,
+	},
+
 	// A negative drill's scenario must decode: a decode error also exits
 	// non-zero, so it would pass for the expected gate failure.
 	{

@@ -30,7 +30,7 @@ import (
 // pair are fused into a single row, blocked into feature tiles of
 // featureTile lanes so the K row additions of a window walk contiguous
 // cache lines instead of striding across two parallel arrays. quant.go
-// layers an int16/int32 fixed-point variant over the same geometry, and
+// layers an int32 fixed-point variant over the same geometry, and
 // stream.go exposes the whole engine as a chunk-at-a-time scorer.
 
 // featureTile is the tile width of the fused table layout: 8 float64 lanes

@@ -8,30 +8,24 @@ import (
 )
 
 // This file is the fixed-point variant of the inference fast path: the
-// fused tiled respTable re-expressed in int16 or int32 lanes with a
-// per-table scale, so window accumulation becomes integer adds over half-
-// or quarter-width rows and the float multiply only happens once per
-// window at dequantization.
+// fused tiled respTable re-expressed in int32 lanes with a per-table scale,
+// so window accumulation becomes integer adds over half-width rows and the
+// float multiply only happens once per window at dequantization.
 //
 // Quantization scheme. Conv and gate lanes get independent symmetric
 // scales chosen from the observed dynamic range of the float table:
 //
 //	scale = maxAbs / qmax,  q = clamp(round(v/scale), ±qmax)
 //
-// with qmax = 2^15-1 (int16) or 2^31-1 (int32). A window sum of K
-// quantized entries then carries at most K·scale/2 absolute pre-activation
-// error, and integer accumulation is exact: K·qmax fits int32 for int16
-// lanes and int64 for int32 lanes, so no overflow and no rounding beyond
-// the initial per-entry half-ulp. For the repo's detector shapes the
-// int32 bound works out to ~1e-8 pre-activation — the ≤ 1e-6 score bound
-// the detect-level gate certifies on the full eval corpus. Int16 halves
-// the table footprint again (one 64-byte line now holds conv AND gate for
-// 16 filters) at a ~1e-4 pre-activation bound; it keeps label parity in
-// practice but is not covered by the 1e-6 certificate, so int32 is the
-// serving default when quantization is on.
+// with qmax = 2^31-1. A window sum of K quantized entries then carries at
+// most K·scale/2 absolute pre-activation error, and integer accumulation
+// is exact: K·qmax fits int64, so no overflow and no rounding beyond the
+// initial per-entry half-ulp. For the repo's detector shapes the bound
+// works out to ~1e-8 pre-activation — the ≤ 1e-6 score bound the
+// detect-level gate certifies on the full eval corpus.
 //
 // Quantized tables are runtime-only artifacts: they are rebuilt lazily
-// from the float table whenever the weight version or mode changes, and
+// from the float table whenever the weight version changes, and
 // are never persisted (persist.go drops them on decode), so a loaded
 // suite can never serve stale fixed-point state.
 
@@ -43,9 +37,6 @@ const (
 	// QuantOff serves the float64 table path (bit-identical to the direct
 	// forward pass).
 	QuantOff QuantMode = iota
-	// QuantInt16 serves int16 lanes with int32 accumulation — smallest
-	// footprint, loosest (measured, uncertified) error bound.
-	QuantInt16
 	// QuantInt32 serves int32 lanes with int64 accumulation — the
 	// certified ≤ 1e-6 absolute score deviation mode.
 	QuantInt32
@@ -56,8 +47,6 @@ func (m QuantMode) String() string {
 	switch m {
 	case QuantOff:
 		return "off"
-	case QuantInt16:
-		return "int16"
 	case QuantInt32:
 		return "int32"
 	}
@@ -69,21 +58,17 @@ func ParseQuantMode(s string) (QuantMode, error) {
 	switch s {
 	case "off", "":
 		return QuantOff, nil
-	case "int16":
-		return QuantInt16, nil
 	case "int32":
 		return QuantInt32, nil
 	}
-	return QuantOff, fmt.Errorf("nn: unknown quant mode %q (want off|int16|int32)", s)
+	return QuantOff, fmt.Errorf("nn: unknown quant mode %q (want off|int32)", s)
 }
 
 // quantTable is the fixed-point image of one respTable: identical fused
 // tile geometry (see fastpath.go), integer lanes, and the two dequant
-// scales. Exactly one of lanes16/lanes32 is non-nil, per mode.
+// scales.
 type quantTable struct {
 	version uint64
-	mode    QuantMode
-	lanes16 []int16
 	lanes32 []int32
 
 	convScale, gateScale float64
@@ -98,20 +83,20 @@ func (n *ConvNet) SetQuantMode(m QuantMode) { n.quantMode.Store(int32(m)) }
 // QuantMode returns the currently selected table format.
 func (n *ConvNet) QuantMode() QuantMode { return QuantMode(n.quantMode.Load()) }
 
-// quantTables returns the fixed-point tables for the current weights and
-// mode, or nil when quantization is off. Same double-checked lazy build
+// quantTables returns the fixed-point tables for the current weights, or
+// nil when quantization is off. Same double-checked lazy build
 // as tables(), under its own mutex (the build itself calls tables()).
 func (n *ConvNet) quantTables() *quantTable {
 	mode := QuantMode(n.quantMode.Load())
 	if mode == QuantOff {
 		return nil
 	}
-	if qt := n.qtab.Load(); qt != nil && qt.version == n.weightVersion && qt.mode == mode {
+	if qt := n.qtab.Load(); qt != nil && qt.version == n.weightVersion {
 		return qt
 	}
 	n.qtabMu.Lock()
 	defer n.qtabMu.Unlock()
-	if qt := n.qtab.Load(); qt != nil && qt.version == n.weightVersion && qt.mode == mode {
+	if qt := n.qtab.Load(); qt != nil && qt.version == n.weightVersion {
 		return qt
 	}
 	qt := n.buildQuantTable(mode)
@@ -144,6 +129,9 @@ func quantLane(v, scale, qmax float64) int64 {
 // pass for the range scan and one for the rounding — far below the float
 // table build itself, and amortized the same way (once per weight version).
 func (n *ConvNet) buildQuantTable(mode QuantMode) *quantTable {
+	if mode != QuantInt32 {
+		panic(fmt.Sprintf("nn: buildQuantTable with mode %v", mode))
+	}
 	tab := n.tables()
 	F := n.Cfg.Filters
 	F2 := 2 * F
@@ -163,39 +151,19 @@ func (n *ConvNet) buildQuantTable(mode QuantMode) *quantTable {
 		}
 	}
 
-	var qmax float64
-	switch mode {
-	case QuantInt16:
-		qmax = math.MaxInt16
-	case QuantInt32:
-		qmax = math.MaxInt32
-	default:
-		panic(fmt.Sprintf("nn: buildQuantTable with mode %v", mode))
-	}
+	const qmax = math.MaxInt32
 	qt := &quantTable{
 		version:   tab.version,
-		mode:      mode,
 		convScale: quantScale(maxC, qmax),
 		gateScale: quantScale(maxG, qmax),
-	}
-	if mode == QuantInt16 {
-		qt.lanes16 = make([]int16, len(tab.lanes))
-	} else {
-		qt.lanes32 = make([]int32, len(tab.lanes))
+		lanes32:   make([]int32, len(tab.lanes)),
 	}
 	for r := 0; r < rows; r++ {
 		base := r * F2
 		for f := 0; f < F; f++ {
 			ci, gi := laneOffsets(F, f)
-			qc := quantLane(tab.lanes[base+ci], qt.convScale, qmax)
-			qg := quantLane(tab.lanes[base+gi], qt.gateScale, qmax)
-			if mode == QuantInt16 {
-				qt.lanes16[base+ci] = int16(qc)
-				qt.lanes16[base+gi] = int16(qg)
-			} else {
-				qt.lanes32[base+ci] = int32(qc)
-				qt.lanes32[base+gi] = int32(qg)
-			}
+			qt.lanes32[base+ci] = int32(quantLane(tab.lanes[base+ci], qt.convScale, qmax))
+			qt.lanes32[base+gi] = int32(quantLane(tab.lanes[base+gi], qt.gateScale, qmax))
 		}
 	}
 	return qt
@@ -203,9 +171,9 @@ func (n *ConvNet) buildQuantTable(mode QuantMode) *quantTable {
 
 // forwardTableQuant is the fixed-point forward pass. It mirrors
 // forwardTable's structure — per-window row-offset resolution, register
-// accumulation over the K rows — but the accumulators are integers (int32
-// for int16 lanes, int64 for int32 lanes; both exact, no overflow for any
-// K the config validator admits), and max-pool pruning happens in the
+// accumulation over the K rows — but the accumulators are int64 (exact, no
+// overflow for any K the config validator admits), and max-pool pruning
+// happens in the
 // integer domain: a per-filter threshold (quantThresh) lets pruned lanes
 // skip dequantization, the bias add, the sigmoid, AND the entire gate-lane
 // sum. Pruning is conservative by construction, so the pooled result is
@@ -229,17 +197,12 @@ func (n *ConvNet) forwardTableQuant(raw []byte, qt *quantTable, sc *scratch) *ca
 	}
 	idx := sc.qIdx
 	x := c.x
-	int16Mode := qt.mode == QuantInt16
 	for t := 0; t < T; t++ {
 		pos := t * cfg.Stride
 		for j := 0; j < K; j++ {
 			idx[j] = (j*256 + int(x[pos+j])) * F2
 		}
-		if int16Mode {
-			n.quantWindow16(qt, sc, t)
-		} else {
-			n.quantWindow32(qt, sc, t)
-		}
+		n.quantWindow32(qt, sc, t)
 	}
 	copy(c.pooled, best)
 	n.head(c)
@@ -286,61 +249,7 @@ func (n *ConvNet) quantPoolUpdate(sc *scratch, t, f int, cvf, gvf, cs float64) {
 // the eight row offsets in registers and drops the per-lane loop overhead
 // that otherwise dominates this cache-resident workload.
 
-// quantWindow16 scores one window position against the int16 tables.
-//
-//mpass:zeroalloc
-func (n *ConvNet) quantWindow16(qt *quantTable, sc *scratch, t int) {
-	lanes := qt.lanes16
-	idx := sc.qIdx
-	th := sc.qTh
-	F := n.Cfg.Filters
-	cs, gs := qt.convScale, qt.gateScale
-	if len(idx) == 8 {
-		o0, o1, o2, o3 := idx[0], idx[1], idx[2], idx[3]
-		o4, o5, o6, o7 := idx[4], idx[5], idx[6], idx[7]
-		for f0 := 0; f0 < F; f0 += featureTile {
-			w := tileWidth(F, f0)
-			tile := 2 * f0
-			for i := 0; i < w; i++ {
-				ci := tile + i
-				cv := int32(lanes[o0+ci]) + int32(lanes[o1+ci]) + int32(lanes[o2+ci]) + int32(lanes[o3+ci]) +
-					int32(lanes[o4+ci]) + int32(lanes[o5+ci]) + int32(lanes[o6+ci]) + int32(lanes[o7+ci])
-				f := f0 + i
-				if int64(cv) <= th[f] {
-					continue
-				}
-				gi := ci + w
-				gv := int32(lanes[o0+gi]) + int32(lanes[o1+gi]) + int32(lanes[o2+gi]) + int32(lanes[o3+gi]) +
-					int32(lanes[o4+gi]) + int32(lanes[o5+gi]) + int32(lanes[o6+gi]) + int32(lanes[o7+gi])
-				n.quantPoolUpdate(sc, t, f, float64(cv)*cs+n.ConvB[f], float64(gv)*gs+n.GateB[f], cs)
-			}
-		}
-		return
-	}
-	for f0 := 0; f0 < F; f0 += featureTile {
-		w := tileWidth(F, f0)
-		tile := 2 * f0
-		for i := 0; i < w; i++ {
-			ci := tile + i
-			var cv int32
-			for _, off := range idx {
-				cv += int32(lanes[off+ci])
-			}
-			f := f0 + i
-			if int64(cv) <= th[f] {
-				continue
-			}
-			gi := ci + w
-			var gv int32
-			for _, off := range idx {
-				gv += int32(lanes[off+gi])
-			}
-			n.quantPoolUpdate(sc, t, f, float64(cv)*cs+n.ConvB[f], float64(gv)*gs+n.GateB[f], cs)
-		}
-	}
-}
-
-// quantWindow32 is quantWindow16 for int32 lanes with int64 accumulation.
+// quantWindow32 scores one window position against the int32 tables.
 //
 //mpass:zeroalloc
 func (n *ConvNet) quantWindow32(qt *quantTable, sc *scratch, t int) {

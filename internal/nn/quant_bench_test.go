@@ -38,7 +38,6 @@ func benchPredict(b *testing.B, mode QuantMode) {
 }
 
 func BenchmarkPredictTableFloat(b *testing.B)   { benchPredict(b, QuantOff) }
-func BenchmarkPredictTableQuant16(b *testing.B) { benchPredict(b, QuantInt16) }
 func BenchmarkPredictTableQuant32(b *testing.B) { benchPredict(b, QuantInt32) }
 
 func BenchmarkConvStream(b *testing.B) {

@@ -6,31 +6,29 @@ import (
 	"testing"
 )
 
-// quantBounds pins the certified absolute score-deviation bound per mode:
-// int32 carries the serving certificate (≤ 1e-6, re-proven on the full
-// eval corpus by the detect-level gate); int16 is the compact variant with
-// a measured, looser bound.
-var quantBounds = map[QuantMode]float64{
-	QuantInt16: 1e-3,
-	QuantInt32: 1e-6,
-}
+// quantBound pins the certified absolute score-deviation bound of int32
+// serving (≤ 1e-6, re-proven on the full eval corpus by the detect-level
+// gate).
+const quantBound = 1e-6
 
 func TestQuantModeParse(t *testing.T) {
-	for _, m := range []QuantMode{QuantOff, QuantInt16, QuantInt32} {
+	for _, m := range []QuantMode{QuantOff, QuantInt32} {
 		got, err := ParseQuantMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("ParseQuantMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := ParseQuantMode("float128"); err == nil {
-		t.Fatal("ParseQuantMode accepted garbage")
+	for _, s := range []string{"float128", "int16"} {
+		if _, err := ParseQuantMode(s); err == nil {
+			t.Fatalf("ParseQuantMode accepted %q", s)
+		}
 	}
 }
 
 // TestQuantForwardWithinBound is the package-level half of the error-bound
-// gate: for both detector shapes and both fixed-point modes, quantized
-// scores must stay within the mode's certified bound of the float64 table
-// path — on fresh weights and on weights grown by training.
+// gate: for both detector shapes, int32 scores must stay within the
+// certified bound of the float64 table path — on fresh weights and on
+// weights grown by training.
 func TestQuantForwardWithinBound(t *testing.T) {
 	for ci, cfg := range fastPathConfigs() {
 		n, err := NewConvNet(cfg)
@@ -50,13 +48,11 @@ func TestQuantForwardWithinBound(t *testing.T) {
 			rng.Read(raw)
 			n.SetQuantMode(QuantOff)
 			want := n.Predict(raw)
-			for mode, bound := range quantBounds {
-				n.SetQuantMode(mode)
-				got := n.Predict(raw)
-				if dev := math.Abs(got - want); dev > bound {
-					t.Errorf("cfg %d trial %d mode %v: |%v - %v| = %g exceeds %g",
-						ci, trial, mode, got, want, dev, bound)
-				}
+			n.SetQuantMode(QuantInt32)
+			got := n.Predict(raw)
+			if dev := math.Abs(got - want); dev > quantBound {
+				t.Errorf("cfg %d trial %d: |%v - %v| = %g exceeds %g",
+					ci, trial, got, want, dev, quantBound)
 			}
 			n.SetQuantMode(QuantOff)
 		}
@@ -83,7 +79,7 @@ func TestQuantTablesInvalidatedByTraining(t *testing.T) {
 	want := n.forward(probe, sc).score
 	n.putScratch(sc)
 	got := n.Predict(probe)
-	if math.Abs(got-want) > quantBounds[QuantInt32] {
+	if math.Abs(got-want) > quantBound {
 		t.Fatalf("post-training quant Predict %v not within bound of direct %v (stale tables?)", got, want)
 	}
 	if got == before {
@@ -107,7 +103,7 @@ func TestQuantModeOffRestoresBitExact(t *testing.T) {
 	want := n.forward(raw, sc).score
 	n.putScratch(sc)
 
-	n.SetQuantMode(QuantInt16)
+	n.SetQuantMode(QuantInt32)
 	n.Predict(raw)
 	n.SetQuantMode(QuantOff)
 	if got := n.Predict(raw); got != want {
@@ -153,7 +149,7 @@ func TestQuantGobDecodeRebuilds(t *testing.T) {
 }
 
 // TestZeroAllocPredictQuant extends the allocation-regression gate to the
-// fixed-point path in both modes.
+// fixed-point path.
 func TestZeroAllocPredictQuant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run via make alloc")
@@ -166,12 +162,10 @@ func TestZeroAllocPredictQuant(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(210 + ci)))
 		raw := make([]byte, cfg.SeqLen)
 		rng.Read(raw)
-		for _, mode := range []QuantMode{QuantInt16, QuantInt32} {
-			n.SetQuantMode(mode)
-			n.Predict(raw) // build tables outside the measured region
-			if got := testing.AllocsPerRun(50, func() { n.Predict(raw) }); got != 0 {
-				t.Errorf("cfg %d mode %v: Predict allocates %.0f per run, want 0", ci, mode, got)
-			}
+		n.SetQuantMode(QuantInt32)
+		n.Predict(raw) // build tables outside the measured region
+		if got := testing.AllocsPerRun(50, func() { n.Predict(raw) }); got != 0 {
+			t.Errorf("cfg %d: quant Predict allocates %.0f per run, want 0", ci, got)
 		}
 		n.SetQuantMode(QuantOff)
 	}

@@ -164,15 +164,6 @@ func (lm *ByteLM) TrainChunk(chunk []byte, opt *Adam) (float64, error) {
 	return loss * inv, nil
 }
 
-// StepState advances a hidden state by one byte and returns the new state —
-// the exported streaming-evaluation hook (internal/engine's incremental
-// perplexity scorer). Bit-identical to the step Perplexity takes.
-func (lm *ByteLM) StepState(h tensor.Vec, b byte) tensor.Vec { return lm.step(h, b) }
-
-// NextProb returns the model probability of b being the next byte given
-// hidden state h, exactly as Perplexity computes it.
-func (lm *ByteLM) NextProb(h tensor.Vec, b byte) float64 { return softmax(lm.logits(h))[b] }
-
 // Perplexity evaluates the model on a byte sequence without training.
 func (lm *ByteLM) Perplexity(seq []byte) float64 {
 	T := len(seq) - 1

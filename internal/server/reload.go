@@ -117,10 +117,7 @@ func (s *Server) certify(next *engine.Set) error {
 		q.SetQuantMode(nn.QuantOff)
 		ref := d.ScoreBatch(s.probes)
 		q.SetQuantMode(s.cfg.Quant)
-		tol := 1e-6
-		if s.cfg.Quant == nn.QuantInt16 {
-			tol = 1e-3
-		}
+		const tol = 1e-6
 		thr := d.Threshold()
 		for i := range ref {
 			if diff := math.Abs(scores[i] - ref[i]); diff > tol {
