@@ -82,7 +82,7 @@ race-all:
 bench:
 	$(GO) test -run '^$$' -bench 'TrainBatchParallel' -benchtime=3x -benchmem .
 	$(GO) test -run '^$$' \
-		-bench 'DetectorPredict|StreamScore$$|InputGradient$$|ShapleySample$$|MPassSingleAttack$$|ScoreBatch$$|EnsembleAblation$$' \
+		-bench 'DetectorPredict|MalGCGPredict$$|StreamScore$$|InputGradient$$|ShapleySample$$|MPassSingleAttack$$|ScoreBatch$$|EnsembleAblation$$' \
 		-benchtime 1x -count=1 .
 
 # bench-full sweeps every micro- and experiment benchmark (sets up the full
@@ -95,7 +95,7 @@ bench-full:
 # regression diffing.
 bench-json:
 	$(GO) test -run '^$$' \
-		-bench 'DetectorPredict$$|DetectorPredictQuant$$|StreamScore$$|InputGradient$$|ShapleySample$$' \
+		-bench 'DetectorPredict$$|DetectorPredictQuant$$|MalGCGPredict$$|StreamScore$$|InputGradient$$|ShapleySample$$' \
 		-benchmem -count=1 . | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) -out $(BENCH_JSON)
 	FORCE_BENCH=$(FORCE_BENCH) sh scripts/drill.sh bench $(SERVE_BENCH_JSON)
 

@@ -65,12 +65,18 @@ func suite(b *testing.B) *eval.Suite {
 // their timed loops, so the lookup is never measured.
 func malconv(b *testing.B) *engine.ConvDriver {
 	b.Helper()
-	d, _ := suite(b).Engines.Get("MalConv")
-	mc, ok := d.(*engine.ConvDriver)
+	return convEngine(b, "MalConv")
+}
+
+// convEngine resolves the suite's conv engine by name.
+func convEngine(b *testing.B, name string) *engine.ConvDriver {
+	b.Helper()
+	d, _ := suite(b).Engines.Get(name)
+	cd, ok := d.(*engine.ConvDriver)
 	if !ok {
-		b.Fatalf("suite has no MalConv conv engine (got %T)", d)
+		b.Fatalf("suite has no %s conv engine (got %T)", name, d)
 	}
-	return mc
+	return cd
 }
 
 var (
@@ -338,6 +344,18 @@ func BenchmarkDetectorPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mc.Score(raw)
+	}
+}
+
+// BenchmarkMalGCGPredict measures one MalGCG forward pass on the same
+// sample: the K=32, S=16 kernel, whose zero-window check spans four 8-byte
+// words per window.
+func BenchmarkMalGCGPredict(b *testing.B) {
+	gcg := convEngine(b, "MalGCG")
+	raw := benchVictim(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gcg.Score(raw)
 	}
 }
 

@@ -269,6 +269,25 @@ func newScanResponse(ms *engine.Set, out scanOut, key [32]byte, size int, cached
 		Gate: `go test -run '^TestRegistrySwapIsolation$' ./internal/engine`,
 	},
 
+	// The table kernels skip an all-zero window only when it repeats one
+	// already scored in the same pass.
+	{
+		// The skip also drops the first zero window.
+		File: "internal/nn/fastpath.go",
+		Old: `	*seen = true
+	return false`,
+		New: `	*seen = true
+	return true`,
+		Gate: `go test -run '^TestTableForwardMatchesDirect$' ./internal/nn`,
+	},
+	{
+		// The zero check reads only a window's first 8 bytes.
+		File: "internal/nn/fastpath.go",
+		Old:  `for ; i+8 <= len(win); i += 8 {`,
+		New:  `for ; i+8 <= len(win); i += len(win) {`,
+		Gate: `go test -run '^TestTableForwardMatchesDirect$' ./internal/nn`,
+	},
+
 	// A negative drill's scenario must decode: a decode error also exits
 	// non-zero, so it would pass for the expected gate failure.
 	{

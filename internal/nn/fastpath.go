@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"math"
 
 	"mpass/internal/tensor"
@@ -32,6 +33,12 @@ import (
 // cache lines instead of striding across two parallel arrays. quant.go
 // layers an int32 fixed-point variant over the same geometry, and
 // stream.go exposes the whole engine as a chunk-at-a-time scorer.
+//
+// Most windows are padding: samples average ~3.3 KB against a 16 KiB
+// SeqLen, so ~90% of a served pass's windows are all-zero bytes. Both
+// table kernels score the first all-zero window of a pass and skip the
+// rest, exactly (repeatedZero). The direct forward stays unskipped as the
+// parity reference.
 
 // featureTile is the tile width of the fused table layout: 8 float64 lanes
 // = one 64-byte cache line. Within a row, tile i carries the conv lanes for
@@ -131,9 +138,47 @@ func (n *ConvNet) buildTables() *respTable {
 	return t
 }
 
+// zeroWindow reports whether every byte of win is zero, eight bytes per
+// load.
+//
+//mpass:zeroalloc
+func zeroWindow(win []byte) bool {
+	i := 0
+	for ; i+8 <= len(win); i += 8 {
+		if binary.LittleEndian.Uint64(win[i:]) != 0 {
+			return false
+		}
+	}
+	for ; i < len(win); i++ {
+		if win[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// repeatedZero reports whether win is all-zero and an all-zero window was
+// already scored in this pass, recording the first one in *seen. A table
+// kernel skips a window it reports, and the skip is exact: a window's
+// activations depend only on its bytes, max pooling updates only on a
+// strict h > best[f], and best[f] never falls, so a repeat of the scored
+// zero window can never update best, argmax, cVal or gVal.
+//
+//mpass:zeroalloc
+func repeatedZero(win []byte, seen *bool) bool {
+	if !zeroWindow(win) {
+		return false
+	}
+	if *seen {
+		return true
+	}
+	*seen = true
+	return false
+}
+
 // forwardTable is the frozen-weight forward pass over precomputed response
 // tables. It fills the same backward-ready cache as the direct path and is
-// bit-identical to it.
+// bit-identical to it, repeated all-zero windows skipped (repeatedZero).
 //
 // Per window the K row offsets are resolved once into a scratch index
 // buffer, then each filter's conv and gate sums accumulate in registers
@@ -157,8 +202,12 @@ func (n *ConvNet) forwardTable(raw []byte, tab *respTable, sc *scratch) *cache {
 	lanes := tab.lanes
 	idx := sc.qIdx
 	x := c.x
+	seenZero := false
 	for t := 0; t < T; t++ {
 		pos := t * cfg.Stride
+		if repeatedZero(x[pos:pos+K], &seenZero) {
+			continue
+		}
 		for j := 0; j < K; j++ {
 			idx[j] = (j*256 + int(x[pos+j])) * F2
 		}

@@ -1,24 +1,113 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// fastPathConfigs covers both detector shapes: the direct-head MalConv
-// layout and the hidden-layer MalGCG layout (with a stride narrower than
-// the kernel, so windows overlap).
+// fastPathConfigs covers the detector shapes: the direct-head MalConv
+// layout, a hidden-layer layout whose stride is narrower than the kernel
+// (windows overlap), MalGCG's serving shape (K=32, S=16, 16 KiB window), and
+// an overlapping kernel that is not a multiple of the 8-byte zero check.
 func fastPathConfigs() []ConvConfig {
 	return []ConvConfig{
 		tinyConfig(),
 		{SeqLen: 128, EmbedDim: 4, Kernel: 16, Stride: 8, Filters: 5, Hidden: 6, Seed: 11},
+		{SeqLen: 16384, EmbedDim: 4, Kernel: 32, Stride: 16, Filters: 12, Hidden: 8, Seed: 12},
+		{SeqLen: 128, EmbedDim: 3, Kernel: 12, Stride: 5, Filters: 7, Seed: 13},
 	}
+}
+
+// zeroRunInputs returns inputs whose windows repeat the all-zero window,
+// the case the table kernels skip: an all-zero input, leading, interior
+// and trailing zero runs, scattered unaligned runs, a body of a corpus
+// sample's ~3.3 KB share of a 16 KiB window padded to SeqLen, and nonzero
+// bytes only past the first 8 bytes of every 16-byte stride, so a
+// stride-16 window's first word is always zero.
+func zeroRunInputs(cfg ConvConfig, rng *rand.Rand) map[string][]byte {
+	L := cfg.SeqLen
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	zeroed := func(b []byte, from, to int) []byte {
+		for i := from; i < to; i++ {
+			b[i] = 0
+		}
+		return b
+	}
+	runs := random(L)
+	for r := 0; r < 6; r++ {
+		at := rng.Intn(L)
+		zeroed(runs, at, min(L, at+1+rng.Intn(L/4)))
+	}
+	behindWord := make([]byte, L)
+	for p := 2 * 16; p < L; p++ {
+		if p%16 >= 8 {
+			behindWord[p] = byte(1 + rng.Intn(255))
+		}
+	}
+	return map[string][]byte{
+		"all-zero":     make([]byte, L),
+		"leading":      zeroed(random(L), 0, L/3),
+		"interior":     zeroed(random(L), L/3, 2*L/3),
+		"trailing":     zeroed(random(L), 2*L/3, L),
+		"runs":         runs,
+		"padded body":  random(L * 3300 / 16384),
+		"behind words": behindWord,
+	}
+}
+
+// sameCache fails t unless two forward caches agree bit for bit on every
+// field the head and backward consume.
+func sameCache(t *testing.T, what string, want, got *cache) {
+	t.Helper()
+	if want.score != got.score || want.logit != got.logit {
+		t.Fatalf("%s: score %v / logit %v != %v / %v", what, want.score, want.logit, got.score, got.logit)
+	}
+	if !want.pooled.Equal(got.pooled) || !want.cVal.Equal(got.cVal) || !want.gVal.Equal(got.gVal) {
+		t.Fatalf("%s: pooled/cVal/gVal differ", what)
+	}
+	for f := range want.argmax {
+		if want.argmax[f] != got.argmax[f] {
+			t.Fatalf("%s: argmax[%d] %d != %d", what, f, want.argmax[f], got.argmax[f])
+		}
+	}
+}
+
+// forwardTableQuantUnskipped is forwardTableQuant without the repeated
+// zero-window skip: the exact reference for the fixed-point kernel, which
+// the direct float path is not.
+func (n *ConvNet) forwardTableQuantUnskipped(raw []byte, qt *quantTable, sc *scratch) *cache {
+	cfg := n.Cfg
+	c := &sc.c
+	c.x = n.pad(raw, sc)
+	F2 := 2 * cfg.Filters
+	sc.best.Fill(math.Inf(-1))
+	for i := range sc.qTh {
+		sc.qTh[i] = math.MinInt64
+	}
+	for t := 0; t < cfg.positions(); t++ {
+		pos := t * cfg.Stride
+		for j := 0; j < cfg.Kernel; j++ {
+			sc.qIdx[j] = (j*256 + int(c.x[pos+j])) * F2
+		}
+		n.quantWindow32(qt, sc, t)
+	}
+	copy(c.pooled, sc.best)
+	n.head(c)
+	return c
 }
 
 // TestTableForwardMatchesDirect is the fast-path parity guarantee: the
 // lookup-table forward must agree bit-for-bit with the direct weight-reading
 // forward on every cache field backward consumes, for random inputs of
-// every length class (short/padded, exact, truncated).
+// every length class (short/padded, exact, truncated) and for inputs with
+// zero runs, whose repeated all-zero windows the table kernels skip. The
+// fixed-point kernel must likewise match its unskipped loop exactly.
 func TestTableForwardMatchesDirect(t *testing.T) {
 	for ci, cfg := range fastPathConfigs() {
 		n, err := NewConvNet(cfg)
@@ -26,26 +115,18 @@ func TestTableForwardMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(40 + ci)))
+		inputs := zeroRunInputs(cfg, rng)
 		for trial := 0; trial < 20; trial++ {
 			raw := make([]byte, 1+rng.Intn(2*cfg.SeqLen))
 			rng.Read(raw)
-
+			inputs[fmt.Sprintf("random %d", trial)] = raw
+		}
+		qt := n.buildQuantTable(QuantInt32)
+		for name, raw := range inputs {
+			what := fmt.Sprintf("cfg %d %s", ci, name)
 			scD, scT := n.getScratch(), n.getScratch()
-			d := n.forward(raw, scD)
-			tb := n.forwardTable(raw, n.tables(), scT)
-
-			if d.score != tb.score || d.logit != tb.logit {
-				t.Fatalf("cfg %d trial %d: direct score %v / logit %v != table %v / %v",
-					ci, trial, d.score, d.logit, tb.score, tb.logit)
-			}
-			if !d.pooled.Equal(tb.pooled) || !d.cVal.Equal(tb.cVal) || !d.gVal.Equal(tb.gVal) {
-				t.Fatalf("cfg %d trial %d: pooled/cVal/gVal differ between paths", ci, trial)
-			}
-			for f := range d.argmax {
-				if d.argmax[f] != tb.argmax[f] {
-					t.Fatalf("cfg %d trial %d: argmax[%d] %d != %d", ci, trial, f, d.argmax[f], tb.argmax[f])
-				}
-			}
+			sameCache(t, what, n.forward(raw, scD), n.forwardTable(raw, n.tables(), scT))
+			sameCache(t, what+" quant", n.forwardTableQuantUnskipped(raw, qt, scD), n.forwardTableQuant(raw, qt, scT))
 			n.putScratch(scD)
 			n.putScratch(scT)
 		}
@@ -107,7 +188,8 @@ func TestMarkWeightsChanged(t *testing.T) {
 }
 
 // TestInputGradientTablePathMatchesDirect checks that the gradient computed
-// off a table-path forward equals one computed off a direct forward.
+// off a table-path forward equals one computed off a direct forward, on a
+// full-length random input and on inputs with zero runs.
 func TestInputGradientTablePathMatchesDirect(t *testing.T) {
 	for ci, cfg := range fastPathConfigs() {
 		n, err := NewConvNet(cfg)
@@ -115,26 +197,28 @@ func TestInputGradientTablePathMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(60 + ci)))
-		raw := make([]byte, cfg.SeqLen)
-		rng.Read(raw)
+		inputs := zeroRunInputs(cfg, rng)
+		inputs["random"] = make([]byte, cfg.SeqLen)
+		rng.Read(inputs["random"])
+		for name, raw := range inputs {
+			ig := n.InputGradient(raw, 0) // table path
 
-		ig := n.InputGradient(raw, 0) // table path
+			// Direct-path reference: forward + backward without tables.
+			sc := n.getScratch()
+			c := n.forward(raw, sc)
+			ref := n.getInputGrad()
+			n.backward(c, 0, ref.Grad, sc)
+			n.putScratch(sc)
 
-		// Direct-path reference: forward + backward without tables.
-		sc := n.getScratch()
-		c := n.forward(raw, sc)
-		ref := n.getInputGrad()
-		n.backward(c, 0, ref.Grad, sc)
-		n.putScratch(sc)
-
-		if !ig.Grad.Equal(ref.Grad) {
-			t.Fatalf("cfg %d: input gradients differ between table and direct paths", ci)
+			if !ig.Grad.Equal(ref.Grad) {
+				t.Fatalf("cfg %d %s: input gradients differ between table and direct paths", ci, name)
+			}
+			if ig.Score != c.score {
+				t.Fatalf("cfg %d %s: score %v != %v", ci, name, ig.Score, c.score)
+			}
+			ig.Release()
+			ref.Release()
 		}
-		if ig.Score != c.score {
-			t.Fatalf("cfg %d: score %v != %v", ci, ig.Score, c.score)
-		}
-		ig.Release()
-		ref.Release()
 	}
 }
 

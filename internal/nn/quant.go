@@ -176,7 +176,8 @@ func (n *ConvNet) buildQuantTable(mode QuantMode) *quantTable {
 // happens in the
 // integer domain: a per-filter threshold (quantThresh) lets pruned lanes
 // skip dequantization, the bias add, the sigmoid, AND the entire gate-lane
-// sum. Pruning is conservative by construction, so the pooled result is
+// sum. Pruning, like the repeated-zero-window skip it shares with
+// forwardTable, is conservative by construction, so the pooled result is
 // identical to the unpruned fixed-point forward; the only deviation from
 // the float path is the bounded table rounding.
 //
@@ -197,8 +198,12 @@ func (n *ConvNet) forwardTableQuant(raw []byte, qt *quantTable, sc *scratch) *ca
 	}
 	idx := sc.qIdx
 	x := c.x
+	seenZero := false
 	for t := 0; t < T; t++ {
 		pos := t * cfg.Stride
+		if repeatedZero(x[pos:pos+K], &seenZero) {
+			continue
+		}
 		for j := 0; j < K; j++ {
 			idx[j] = (j*256 + int(x[pos+j])) * F2
 		}

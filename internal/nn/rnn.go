@@ -164,22 +164,6 @@ func (lm *ByteLM) TrainChunk(chunk []byte, opt *Adam) (float64, error) {
 	return loss * inv, nil
 }
 
-// Perplexity evaluates the model on a byte sequence without training.
-func (lm *ByteLM) Perplexity(seq []byte) float64 {
-	T := len(seq) - 1
-	if T < 1 {
-		return math.Inf(1)
-	}
-	h := tensor.NewVec(lm.Hidden)
-	var nll float64
-	for t := 0; t < T; t++ {
-		h = lm.step(h, seq[t])
-		p := softmax(lm.logits(h))
-		nll -= math.Log(math.Max(p[seq[t+1]], 1e-12))
-	}
-	return math.Exp(nll / float64(T))
-}
-
 // Generate samples n bytes after priming on prime, using the given
 // temperature (1 = model distribution; lower = greedier).
 func (lm *ByteLM) Generate(prime []byte, n int, temperature float64, rng *rand.Rand) []byte {

@@ -19,8 +19,8 @@ func feedChunks(s *ConvStream, raw []byte, size int) {
 
 // TestConvStreamMatchesPredict is the streaming equivalence gate at the
 // network level: for every chunking, input length class (short/padded,
-// exact, truncated), and table mode, Feed/Finish must reproduce Predict
-// bit for bit.
+// exact, truncated, zero runs), and table mode, Feed/Finish must reproduce
+// Predict bit for bit.
 func TestConvStreamMatchesPredict(t *testing.T) {
 	for ci, cfg := range fastPathConfigs() {
 		n, err := NewConvNet(cfg)
@@ -30,11 +30,16 @@ func TestConvStreamMatchesPredict(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(300 + ci)))
 		lengths := []int{1, cfg.SeqLen / 3, cfg.SeqLen, 2*cfg.SeqLen + 5}
 		chunks := []int{1, 7, 64, 1 << 20}
+		inputs := [][]byte{zeroRunInputs(cfg, rng)["runs"]}
+		for _, L := range lengths {
+			raw := make([]byte, L)
+			rng.Read(raw)
+			inputs = append(inputs, raw)
+		}
 		for _, mode := range []QuantMode{QuantOff, QuantInt32} {
 			n.SetQuantMode(mode)
-			for _, L := range lengths {
-				raw := make([]byte, L)
-				rng.Read(raw)
+			for _, raw := range inputs {
+				L := len(raw)
 				want := n.Predict(raw)
 				for _, sz := range chunks {
 					s := n.NewStream()
