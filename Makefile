@@ -38,8 +38,12 @@ fmt:
 build:
 	$(GO) build ./...
 
+# vet also covers the benchmark module (perfbench/, its own Go module, which
+# ./... does not reach), so a program change that breaks a name perfbench
+# uses fails here rather than at the end of ci or in a benchmark run.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 # lint runs the repo's own invariant analyzers (internal/analysis via
 # cmd/mpass-lint): goroutine discipline, weight-mutation guards,

@@ -17,9 +17,7 @@
 // Retry-After computed from the summed replica backlogs.
 //
 // SIGINT/SIGTERM drain gracefully: new requests get 503, in-flight
-// forwards finish (bounded by -drain), then the process exits. The
-// -fault-* flags wrap the replica transport in deterministic fault
-// injection (internal/faultinject) for cluster resilience drills.
+// forwards finish (bounded by -drain), then the process exits.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"mpass/internal/faultinject"
 	"mpass/internal/gateway"
 )
 
@@ -59,10 +56,6 @@ func main() {
 	idleConns := flag.Int("idle-conns", 64, "pooled keep-alive connections per replica")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 
-	faultError := flag.Float64("fault-error", 0, "inject: probability a replica request fails at the transport")
-	faultLatency := flag.Float64("fault-latency", 0, "inject: probability a replica request is delayed")
-	faultDelay := flag.Duration("fault-delay", 50*time.Millisecond, "inject: delay magnitude for -fault-latency")
-	faultSeed := flag.Int64("fault-seed", 1, "inject: fault-decision stream seed")
 	flag.Parse()
 
 	var names []string
@@ -87,16 +80,6 @@ func main() {
 		MaxBodyBytes:           *maxBody,
 		SpoolDir:               *spoolDir,
 		MaxIdleConnsPerReplica: *idleConns,
-	}
-	if *faultError > 0 || *faultLatency > 0 {
-		cfg.Transport = faultinject.WrapTransport(nil, faultinject.TransportConfig{
-			Seed:        *faultSeed,
-			ErrorRate:   *faultError,
-			LatencyRate: *faultLatency,
-			Latency:     *faultDelay,
-		})
-		log.Printf("FAULT INJECTION ON: error=%.2f latency=%.2f/%v seed=%d (replica transport)",
-			*faultError, *faultLatency, *faultDelay, *faultSeed)
 	}
 
 	gw, err := gateway.New(cfg)

@@ -5,7 +5,7 @@ import "go/ast"
 // goroutineOwners are the packages allowed to launch goroutines directly:
 // the pool layer itself and the serving layer's single dispatcher /
 // lifecycle goroutines. Everywhere else concurrency must go through
-// internal/parallel (ForEach/MapReduce for batch fan-out, Pool for
+// internal/parallel (ForEach/Do for batch fan-out, Pool for
 // long-lived queues), which is what carries the repo's bounded-worker and
 // bit-identical-reduction guarantees. Command mains that genuinely need a
 // lifecycle goroutine (serving an http.Server, overlapping shutdowns)

@@ -261,15 +261,6 @@ func (a *AV) Detected(raw []byte) bool {
 // SignatureCount reports how many byte signatures the AV has learned.
 func (a *AV) SignatureCount() int { return len(a.sigs) }
 
-// Signatures returns copies of the learned byte signatures (diagnostics).
-func (a *AV) Signatures() [][]byte {
-	out := make([][]byte, len(a.sigs))
-	for i, s := range a.sigs {
-		out[i] = append([]byte(nil), s...)
-	}
-	return out
-}
-
 // ResetSignatures clears learned state (used between experiments).
 func (a *AV) ResetSignatures() { a.sigs = nil }
 

@@ -57,6 +57,21 @@ func known(t *testing.T, exclude string) []detect.GradientModel {
 	return out
 }
 
+// requireValidPE is the structural AE-validity oracle: an adversarial
+// example must re-parse as a PE and pass every loader invariant Validate
+// checks, not just run the same API trace in the sandbox.
+func requireValidPE(t *testing.T, name string, ae []byte) {
+	t.Helper()
+	f, err := pefile.Parse(ae)
+	if err != nil {
+		t.Errorf("%s: AE is not a valid PE: %v", name, err)
+		return
+	}
+	if issues := f.Validate(); len(issues) != 0 {
+		t.Errorf("%s: AE fails PE validation: %v", name, issues)
+	}
+}
+
 func TestAttackBypassesMalConv(t *testing.T) {
 	fixtures(t)
 	cfg := DefaultConfig(known(t, "MalConv"), donors)
@@ -83,9 +98,7 @@ func TestAttackBypassesMalConv(t *testing.T) {
 			if oracle.Queries != res.Queries {
 				t.Errorf("query accounting mismatch: %d vs %d", oracle.Queries, res.Queries)
 			}
-			if _, err := pefile.Parse(res.AE); err != nil {
-				t.Errorf("%s: AE is not a valid PE: %v", v.Name, err)
-			}
+			requireValidPE(t, v.Name, res.AE)
 		}
 	}
 	if succ < n-1 {
@@ -117,6 +130,7 @@ func TestAEsPreserveFunctionality(t *testing.T) {
 		if !res.Success {
 			continue
 		}
+		requireValidPE(t, v.Name, res.AE)
 		ok, err := sandbox.BehaviourPreserved(v.Raw, res.AE)
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
@@ -153,6 +167,7 @@ func TestAttackAgainstLightGBM(t *testing.T) {
 		}
 		if res.Success {
 			succ++
+			requireValidPE(t, v.Name, res.AE)
 		}
 	}
 	if succ == 0 {
@@ -176,6 +191,7 @@ func TestRandomFillSkipOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireValidPE(t, v.Name, ae)
 	ok, err := sandbox.BehaviourPreserved(v.Raw, ae)
 	if err != nil || !ok {
 		t.Errorf("random-fill candidate broken: ok=%v err=%v", ok, err)
@@ -208,6 +224,7 @@ func TestOtherSecLeavesCodeAndDataIntact(t *testing.T) {
 			t.Fatalf("Other-sec attack modified .text at %d", i)
 		}
 	}
+	requireValidPE(t, v.Name, ae)
 	ok, err := sandbox.BehaviourPreserved(v.Raw, ae)
 	if err != nil || !ok {
 		t.Errorf("other-sec candidate broken: ok=%v err=%v", ok, err)
@@ -235,6 +252,7 @@ func TestTailOverlayMode(t *testing.T) {
 	if len(f.Overlay) < cfg.TailLen {
 		t.Errorf("overlay = %d bytes, want >= %d", len(f.Overlay), cfg.TailLen)
 	}
+	requireValidPE(t, v.Name, ae)
 	ok, err := sandbox.BehaviourPreserved(v.Raw, ae)
 	if err != nil || !ok {
 		t.Errorf("overlay candidate broken: ok=%v err=%v", ok, err)

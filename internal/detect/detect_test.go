@@ -54,6 +54,39 @@ func TestAllDetectorsSeparateFamilies(t *testing.T) {
 	}
 }
 
+// TestAUCOfTrainedDetectors checks that trained MalConv and LightGBM rank the
+// families apart, independent of any threshold: nearly every (malware,
+// benign) pair of test samples must have the malware scored strictly higher.
+func TestAUCOfTrainedDetectors(t *testing.T) {
+	mc, _, lg, _ := models(t)
+	ds := dataset(t)
+	for _, d := range []Detector{mc, lg} {
+		var mal, ben []float64
+		for _, s := range ds.Test {
+			if s.Family == corpus.Malware {
+				mal = append(mal, d.Score(s.Raw))
+			} else {
+				ben = append(ben, d.Score(s.Raw))
+			}
+		}
+		if len(mal) == 0 || len(ben) == 0 {
+			t.Fatalf("test split has %d malware and %d benign samples", len(mal), len(ben))
+		}
+		ranked := 0
+		for _, m := range mal {
+			for _, b := range ben {
+				if m > b {
+					ranked++
+				}
+			}
+		}
+		if frac := float64(ranked) / float64(len(mal)*len(ben)); frac < 0.95 {
+			t.Errorf("%s ranks %.3f of (malware, benign) pairs correctly, want near-perfect on the synthetic corpus",
+				d.Name(), frac)
+		}
+	}
+}
+
 func TestScoresAreProbabilities(t *testing.T) {
 	mc, _, lg, _ := models(t)
 	ds := dataset(t)

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -32,50 +31,6 @@ func (g *Grid) WriteCSV(w io.Writer) error {
 			if err := cw.Write(rec); err != nil {
 				return err
 			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteCurvesCSV exports Figure-4-style bypass curves in long form — one
-// row per (attack, round).
-func WriteCurvesCSV(w io.Writer, avName string, curves LearningCurves) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"av", "attack", "round", "bypass_pct"}); err != nil {
-		return err
-	}
-	for atk, series := range curves {
-		for round, v := range series {
-			rec := []string{
-				avName, atk,
-				strconv.Itoa(round),
-				strconv.FormatFloat(v, 'f', 2, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteFunctionalityCSV exports the §IV-A verification results.
-func WriteFunctionalityCSV(w io.Writer, reports []FunctionalityReport) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"attack", "preserved", "broken", "preserved_pct"}); err != nil {
-		return err
-	}
-	for _, r := range reports {
-		rec := []string{
-			r.Attack,
-			strconv.Itoa(r.Preserved),
-			strconv.Itoa(r.Broken),
-			fmt.Sprintf("%.2f", r.Rate()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
 		}
 	}
 	cw.Flush()

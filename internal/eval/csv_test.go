@@ -28,29 +28,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("missing MPass row:\n%s", out)
 	}
 }
-
-func TestWriteCurvesCSV(t *testing.T) {
-	var b strings.Builder
-	err := WriteCurvesCSV(&b, "AV1", LearningCurves{"MPass": {100, 100}, "MAB": {100, 40}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "AV1,MAB,1,40.00") {
-		t.Errorf("missing decayed MAB row:\n%s", out)
-	}
-	if strings.Count(out, "\n") != 5 { // header + 4 rows
-		t.Errorf("unexpected row count:\n%s", out)
-	}
-}
-
-func TestWriteFunctionalityCSV(t *testing.T) {
-	var b strings.Builder
-	reports := []FunctionalityReport{{Attack: "RLA", Preserved: 7, Broken: 3}}
-	if err := WriteFunctionalityCSV(&b, reports); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "RLA,7,3,70.00") {
-		t.Errorf("bad functionality CSV:\n%s", b.String())
-	}
-}

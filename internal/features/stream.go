@@ -117,26 +117,6 @@ func NewStreamExtractorCap(cap int) *StreamExtractor {
 	return e
 }
 
-// Reset returns the extractor to its initial state, retaining allocations.
-func (e *StreamExtractor) Reset() {
-	e.overflow = false
-	e.prefix = e.prefix[:0]
-	e.total = 0
-	e.hist = [histDim]int64{}
-	e.entFill = 0
-	e.entBins = [entHistDim]int64{}
-	e.entWins = 0
-	e.curRun = 0
-	e.runHash = 2166136261
-	e.nStrings, e.totalLen, e.maxLen = 0, 0, 0
-	e.hashed = [4]float64{}
-	for i := range e.apiCounts {
-		e.apiCounts[i] = 0
-	}
-	e.tail = e.tail[:0]
-	e.seam = e.seam[:0]
-}
-
 // Feed appends one chunk of the sample.
 func (e *StreamExtractor) Feed(p []byte) {
 	if len(p) == 0 {

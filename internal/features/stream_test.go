@@ -123,26 +123,6 @@ func TestStreamExtractorOverflowDegradesStructuralOnly(t *testing.T) {
 	}
 }
 
-// TestStreamExtractorReset: a Reset extractor must be indistinguishable
-// from a fresh one, allocations aside.
-func TestStreamExtractorReset(t *testing.T) {
-	g := corpus.NewGenerator(46)
-	rng := rand.New(rand.NewSource(47))
-	a := g.Sample(corpus.Benign).Raw
-	b := g.Sample(corpus.Malware).Raw
-
-	e := NewStreamExtractorCap(0)
-	feedStream(e, a, 33, rng)
-	e.Finish()
-	e.Reset()
-	feedStream(e, b, 33, rng)
-	got := e.Finish()
-
-	f := NewStreamExtractorCap(0)
-	feedStream(f, b, 57, rng)
-	vecEqual(t, "reset", got, f.Finish())
-}
-
 // TestAPINamesHaveNoSelfOverlap pins the corpus invariant the seam counter
 // relies on: no API name has a proper border (a prefix that is also a
 // suffix), so occurrences can never overlap and per-chunk counting plus

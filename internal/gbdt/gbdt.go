@@ -83,20 +83,6 @@ func (e *Ensemble) Logit(x []float64) float64 {
 // Predict returns P(malware | x).
 func (e *Ensemble) Predict(x []float64) float64 { return tensor.Sigmoid(e.Logit(x)) }
 
-// FeatureImportance returns, per feature index, how many internal splits
-// across the ensemble use that feature — the split-count importance measure.
-func (e *Ensemble) FeatureImportance() map[int]int {
-	out := make(map[int]int)
-	for _, t := range e.Trees {
-		for _, n := range t.nodes {
-			if n.feature >= 0 {
-				out[n.feature]++
-			}
-		}
-	}
-	return out
-}
-
 // Train fits an ensemble on feature matrix xs (rows) and labels ys in {0,1}.
 func Train(xs [][]float64, ys []float64, cfg Config) (*Ensemble, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {

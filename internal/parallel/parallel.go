@@ -10,10 +10,10 @@
 // balance load across uneven item costs without per-item channel traffic.
 //
 // Determinism contract: helpers never reorder results. ForEach gives every
-// index its own isolated slot of whatever the caller indexes, ForEachErr
-// reports the lowest-index error, and MapReduce folds mapped values in
-// strict index order — so a reduction over floating-point values is
-// bit-identical for every worker count, including the inline path.
+// index its own isolated slot of whatever the caller indexes and ForEachErr
+// reports the lowest-index error, so a caller that folds the slots in index
+// order gets a floating-point reduction that is bit-identical for every
+// worker count, including the inline path.
 package parallel
 
 import (
@@ -95,23 +95,4 @@ func Do(workers int, tasks ...func() error) error {
 	return ForEachErr(workers, len(tasks), func(i int) error {
 		return tasks[i]()
 	})
-}
-
-// MapReduce computes mapFn(i) for every i in [0, n) across up to workers
-// goroutines, then folds the results in strict index order:
-//
-//	acc = fold(fold(fold(acc, m(0)), m(1)), ... m(n-1))
-//
-// The index-ordered fold makes floating-point reductions bit-identical for
-// every worker count. mapFn must be safe for concurrent invocation; fold
-// runs on the calling goroutine only.
-func MapReduce[T, A any](workers, n int, mapFn func(i int) T, acc A, fold func(acc A, v T) A) A {
-	vals := make([]T, n)
-	ForEach(workers, n, func(i int) {
-		vals[i] = mapFn(i)
-	})
-	for _, v := range vals {
-		acc = fold(acc, v)
-	}
-	return acc
 }

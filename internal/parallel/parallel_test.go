@@ -74,25 +74,3 @@ func TestDoRunsAllTasks(t *testing.T) {
 		t.Error("Do skipped a task after a failure")
 	}
 }
-
-// TestMapReduceOrderIndependence is the determinism anchor: a fold over
-// values whose floating-point sum depends on ordering must come out
-// bit-identical for every worker count.
-func TestMapReduceDeterministicFold(t *testing.T) {
-	const n = 5000
-	mapFn := func(i int) float64 { return 1.0 / float64(i+1) }
-	ref := MapReduce(1, n, mapFn, 0.0, func(a, v float64) float64 { return a + v })
-	for _, workers := range []int{2, 3, 16} {
-		got := MapReduce(workers, n, mapFn, 0.0, func(a, v float64) float64 { return a + v })
-		if got != ref {
-			t.Errorf("workers=%d: sum %v != serial %v", workers, got, ref)
-		}
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(4, 0, func(i int) int { return i }, 42, func(a, v int) int { return a + v })
-	if got != 42 {
-		t.Errorf("empty MapReduce = %d, want accumulator unchanged", got)
-	}
-}

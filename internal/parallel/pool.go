@@ -11,11 +11,11 @@ import (
 // of worker goroutines consuming a bounded submission queue. The batch
 // helpers fan a known slice of work across goroutines and return; a Pool
 // accepts work that arrives over time — the serving layer's attack jobs —
-// and makes overload explicit: TrySubmit never blocks, it reports a full
+// and makes overload explicit: TrySubmitCtx never blocks, it reports a full
 // queue so the caller can shed load (HTTP 429) instead of buffering
 // unboundedly.
 type Pool struct {
-	mu     sync.RWMutex // guards closed vs. in-flight TrySubmit sends
+	mu     sync.RWMutex // guards closed vs. in-flight TrySubmitCtx sends
 	closed bool
 
 	tasks   chan func()
@@ -30,9 +30,9 @@ type Pool struct {
 	cancelBase context.CancelFunc
 }
 
-// Submission errors. TrySubmit collapses both into false; TrySubmitCtx
-// surfaces them so callers can answer "queue full" (shed, retry later) and
-// "pool closed" (shutting down, go away) differently.
+// Submission errors. TrySubmitCtx returns them so callers can answer "queue
+// full" (shed, retry later) and "pool closed" (shutting down, go away)
+// differently.
 var (
 	ErrQueueFull  = errors.New("parallel: pool queue full")
 	ErrPoolClosed = errors.New("parallel: pool closed")
@@ -62,18 +62,12 @@ func NewPool(workers, queue int) *Pool {
 	return p
 }
 
-// TrySubmit enqueues task without blocking. It returns false when the queue
-// is full or the pool is closed — the admission-control signal.
-func (p *Pool) TrySubmit(task func()) bool {
-	return p.TrySubmitCtx(func(context.Context) { task() }) == nil
-}
-
 // TrySubmitCtx enqueues a cancellation-aware task without blocking. The
 // task receives the pool's base context: it is live for the pool's whole
 // life and cancelled by Cancel, so long-running tasks (serving-layer attack
 // jobs) can be reaped during a forced shutdown. Callers wanting a per-task
 // deadline derive one from the received context. Returns ErrQueueFull when
-// the queue is full and ErrPoolClosed after Drain/Close.
+// the queue is full and ErrPoolClosed after Drain.
 func (p *Pool) TrySubmitCtx(task func(ctx context.Context)) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -130,10 +124,4 @@ func (p *Pool) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Close drains the pool with no deadline.
-func (p *Pool) Close() {
-	//lint:ignore ctxflow Close is by contract the unbounded drain; Drain(ctx) is the bounded form
-	p.Drain(context.Background())
 }

@@ -8,20 +8,33 @@ import (
 	"time"
 )
 
+// submit enqueues a context-free task, reporting whether the pool took it.
+func submit(p *Pool, task func()) bool {
+	return p.TrySubmitCtx(func(context.Context) { task() }) == nil
+}
+
+// drain waits, with no deadline, for every task the pool has taken.
+func drain(t *testing.T, p *Pool) {
+	t.Helper()
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
 func TestPoolRunsEverySubmittedTask(t *testing.T) {
 	p := NewPool(4, 64)
 	var ran atomic.Int64
 	for i := 0; i < 50; i++ {
-		if !p.TrySubmit(func() { ran.Add(1) }) {
+		if !submit(p, func() { ran.Add(1) }) {
 			t.Fatalf("task %d rejected with room in the queue", i)
 		}
 	}
-	p.Close()
+	drain(t, p)
 	if ran.Load() != 50 {
 		t.Fatalf("ran %d tasks, want 50", ran.Load())
 	}
 	if p.Done() != 50 || p.Pending() != 0 {
-		t.Fatalf("Done=%d Pending=%d after Close, want 50/0", p.Done(), p.Pending())
+		t.Fatalf("Done=%d Pending=%d after Drain, want 50/0", p.Done(), p.Pending())
 	}
 }
 
@@ -30,25 +43,25 @@ func TestPoolShedsLoadWhenFull(t *testing.T) {
 	p := NewPool(1, 2)
 	var started sync.WaitGroup
 	started.Add(1)
-	p.TrySubmit(func() { started.Done(); <-block }) // occupies the worker
+	submit(p, func() { started.Done(); <-block }) // occupies the worker
 	started.Wait()
-	if !p.TrySubmit(func() {}) || !p.TrySubmit(func() {}) {
+	if !submit(p, func() {}) || !submit(p, func() {}) {
 		t.Fatal("queue rejected tasks below capacity")
 	}
-	if p.TrySubmit(func() {}) {
+	if submit(p, func() {}) {
 		t.Fatal("queue accepted a task beyond capacity")
 	}
 	if p.Queued() != 2 || p.Pending() != 3 {
 		t.Fatalf("Queued=%d Pending=%d, want 2/3", p.Queued(), p.Pending())
 	}
 	close(block)
-	p.Close()
+	drain(t, p)
 }
 
 func TestPoolDrainWaitsForRunningTasks(t *testing.T) {
 	p := NewPool(2, 8)
 	var finished atomic.Bool
-	p.TrySubmit(func() {
+	submit(p, func() {
 		time.Sleep(50 * time.Millisecond)
 		finished.Store(true)
 	})
@@ -58,8 +71,8 @@ func TestPoolDrainWaitsForRunningTasks(t *testing.T) {
 	if !finished.Load() {
 		t.Fatal("Drain returned before the running task finished")
 	}
-	if p.TrySubmit(func() {}) {
-		t.Fatal("TrySubmit accepted work after Drain")
+	if submit(p, func() {}) {
+		t.Fatal("submit accepted work after Drain")
 	}
 	// Idempotent.
 	if err := p.Drain(context.Background()); err != nil {
@@ -70,18 +83,18 @@ func TestPoolDrainWaitsForRunningTasks(t *testing.T) {
 func TestPoolDrainHonorsDeadline(t *testing.T) {
 	p := NewPool(1, 1)
 	release := make(chan struct{})
-	p.TrySubmit(func() { <-release })
+	submit(p, func() { <-release })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := p.Drain(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Drain under stuck task: err=%v, want DeadlineExceeded", err)
 	}
 	close(release)
-	p.Close()
+	drain(t, p)
 }
 
-// TestPoolSubmitCloseRace hammers TrySubmit from many goroutines while the
-// pool drains — under -race this is the guard against the classic
+// TestPoolSubmitCloseRace hammers TrySubmitCtx from many goroutines while
+// the pool drains — under -race this is the guard against the classic
 // send-on-closed-channel crash.
 func TestPoolSubmitCloseRace(t *testing.T) {
 	p := NewPool(2, 4)
@@ -93,14 +106,14 @@ func TestPoolSubmitCloseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if p.TrySubmit(func() { ran.Add(1) }) {
+				if submit(p, func() { ran.Add(1) }) {
 					accepted.Add(1)
 				}
 			}
 		}()
 	}
 	time.Sleep(time.Millisecond)
-	p.Close()
+	drain(t, p)
 	wg.Wait()
 	// Stragglers that won the race before close have all run by now.
 	p.workers.Wait()
@@ -125,7 +138,7 @@ func TestPoolTrySubmitCtxErrors(t *testing.T) {
 		t.Fatalf("full queue returned %v, want ErrQueueFull", err)
 	}
 	close(block)
-	p.Close()
+	drain(t, p)
 	if err := p.TrySubmitCtx(func(context.Context) {}); err != ErrPoolClosed {
 		t.Fatalf("closed pool returned %v, want ErrPoolClosed", err)
 	}
@@ -160,7 +173,7 @@ func TestPoolCancelReapsRunningAndQueuedTasks(t *testing.T) {
 			t.Fatal("cancelled task never unblocked")
 		}
 	}
-	p.Close()
+	drain(t, p)
 }
 
 // TestPoolDrainThenCancelBoundsStuckWork is the jobRegistry shutdown shape:

@@ -168,19 +168,6 @@ func (f *File) AddSection(name string, data []byte, characteristics uint32) (*Se
 	return s, nil
 }
 
-// RemoveSection deletes the named section. Virtual addresses of the
-// remaining sections are unchanged (PE allows VA gaps).
-func (f *File) RemoveSection(name string) error {
-	for i, s := range f.Sections {
-		if s.Name == name {
-			f.Sections = append(f.Sections[:i], f.Sections[i+1:]...)
-			f.Layout()
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %q", ErrNoSuchSection, name)
-}
-
 // RenameSection changes a section's name in place. Section names are one of
 // the header fields the paper's Figure 2 marks as freely perturbable.
 func (f *File) RenameSection(oldName, newName string) error {

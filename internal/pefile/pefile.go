@@ -336,17 +336,6 @@ func (f *File) RVAToOffset(rva uint32) (uint32, bool) {
 	return s.PointerToRawData + delta, true
 }
 
-// OffsetToRVA converts a file offset to an RVA. The second return value is
-// false when the offset does not fall inside any section's raw data.
-func (f *File) OffsetToRVA(off uint32) (uint32, bool) {
-	for _, s := range f.Sections {
-		if off >= s.PointerToRawData && off < s.PointerToRawData+s.SizeOfRawData {
-			return s.VirtualAddress + (off - s.PointerToRawData), true
-		}
-	}
-	return 0, false
-}
-
 // EntrySection returns the section containing the entry point, or nil.
 func (f *File) EntrySection() *Section {
 	return f.SectionAt(f.Optional.AddressOfEntryPoint)

@@ -1,53 +1,6 @@
 package pefile
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
-// Checksum computes the standard PE image checksum over raw bytes: the
-// 16-bit one's-complement sum of the file (with the stored CheckSum field
-// treated as zero) plus the file length. Real loaders only verify it for
-// drivers, but AV heuristics flag mismatches, so attack tooling must be
-// able to re-stamp it after mutation.
-func Checksum(raw []byte) (uint32, error) {
-	if len(raw) < dosHeaderSize {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTruncated, len(raw))
-	}
-	lfanew := binary.LittleEndian.Uint32(raw[60:64])
-	// CheckSum lives at optional-header offset 64.
-	csOff := int(lfanew) + 4 + fileHeaderSize + 64
-	if csOff+4 > len(raw) {
-		return 0, fmt.Errorf("%w: checksum field beyond file", ErrTruncated)
-	}
-
-	var sum uint64
-	for i := 0; i+1 < len(raw); i += 2 {
-		if i == csOff || i == csOff+2 {
-			continue // the stored checksum itself counts as zero
-		}
-		sum += uint64(binary.LittleEndian.Uint16(raw[i:]))
-		sum = (sum & 0xFFFF) + (sum >> 16)
-	}
-	if len(raw)%2 == 1 {
-		sum += uint64(raw[len(raw)-1])
-		sum = (sum & 0xFFFF) + (sum >> 16)
-	}
-	sum = (sum & 0xFFFF) + (sum >> 16)
-	return uint32(sum) + uint32(len(raw)), nil
-}
-
-// StampChecksum serializes the file with a freshly computed checksum.
-func (f *File) StampChecksum() ([]byte, error) {
-	f.Optional.CheckSum = 0
-	raw := f.Bytes()
-	cs, err := Checksum(raw)
-	if err != nil {
-		return nil, err
-	}
-	f.Optional.CheckSum = cs
-	return f.Bytes(), nil
-}
+import "fmt"
 
 // ValidationIssue describes one structural problem found by Validate.
 type ValidationIssue struct {

@@ -1,71 +1,6 @@
 package pefile
 
-import (
-	"testing"
-)
-
-func TestChecksumDeterministicAndSensitive(t *testing.T) {
-	f := buildSample(t)
-	raw, err := f.StampChecksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Optional.CheckSum == 0 {
-		t.Fatal("checksum not stamped")
-	}
-	// Recomputing over the stamped file with the field zeroed reproduces
-	// the stored value.
-	cs, err := Checksum(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs != g.Optional.CheckSum {
-		t.Errorf("recomputed %#x != stored %#x", cs, g.Optional.CheckSum)
-	}
-	// Flipping any content byte changes the checksum.
-	raw2 := append([]byte(nil), raw...)
-	raw2[len(raw2)-1] ^= 0xFF
-	cs2, err := Checksum(raw2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs2 == cs {
-		t.Error("checksum insensitive to content change")
-	}
-}
-
-func TestChecksumIgnoresStoredField(t *testing.T) {
-	f := buildSample(t)
-	f.Optional.CheckSum = 0
-	a, err := Checksum(f.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Optional.CheckSum = 0xDEADBEEF
-	b, err := Checksum(f.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("checksum depends on its own field: %#x vs %#x", a, b)
-	}
-}
-
-func TestChecksumTruncated(t *testing.T) {
-	if _, err := Checksum([]byte{1, 2}); err == nil {
-		t.Error("short input accepted")
-	}
-	b := make([]byte, 128)
-	b[60] = 0xF0
-	b[61] = 0xFF
-	if _, err := Checksum(b); err == nil {
-		t.Error("out-of-range lfanew accepted")
-	}
-}
+import "testing"
 
 func TestValidateCleanImage(t *testing.T) {
 	f := buildSample(t)

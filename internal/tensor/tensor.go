@@ -92,23 +92,6 @@ func (v Vec) Scale(a float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm.
-func (v Vec) Norm2() float64 { return math.Sqrt(Dot(v, v)) }
-
-// ArgMax returns the index of the largest element (-1 for empty vectors).
-func (v Vec) ArgMax() int {
-	if len(v) == 0 {
-		return -1
-	}
-	bi := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[bi] {
-			bi = i
-		}
-	}
-	return bi
-}
-
 // Mat is a dense row-major matrix.
 type Mat struct {
 	Rows, Cols int

@@ -68,15 +68,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestArgMax(t *testing.T) {
-	if got := (Vec{}).ArgMax(); got != -1 {
-		t.Errorf("empty ArgMax = %d", got)
-	}
-	if got := (Vec{1, 5, 3, 5}).ArgMax(); got != 1 {
-		t.Errorf("ArgMax = %d, want first max index 1", got)
-	}
-}
-
 func TestSigmoidProperties(t *testing.T) {
 	if Sigmoid(0) != 0.5 {
 		t.Errorf("Sigmoid(0) = %v", Sigmoid(0))
@@ -131,11 +122,8 @@ func TestInitializers(t *testing.T) {
 	}
 }
 
-func TestZeroAndScaleAndNorm(t *testing.T) {
+func TestZeroAndScale(t *testing.T) {
 	v := Vec{3, 4}
-	if v.Norm2() != 5 {
-		t.Errorf("Norm2 = %v", v.Norm2())
-	}
 	v.Scale(2)
 	if v[0] != 6 || v[1] != 8 {
 		t.Errorf("Scale = %v", v)

@@ -93,25 +93,6 @@ func (o Op) String() string {
 // Valid reports whether the opcode is defined.
 func (o Op) Valid() bool { return o < opCount }
 
-// IsBranch reports whether the opcode's immediate is a relative branch
-// displacement that must be re-patched when the instruction moves.
-func (o Op) IsBranch() bool {
-	switch o {
-	case JMP, JZ, JNZ, JLT, CALL:
-		return true
-	}
-	return false
-}
-
-// IsConditional reports whether the branch falls through when untaken.
-func (o Op) IsConditional() bool {
-	switch o {
-	case JZ, JNZ, JLT:
-		return true
-	}
-	return false
-}
-
 // Inst is one decoded instruction.
 type Inst struct {
 	Op  Op
@@ -200,19 +181,4 @@ func EncodeProgram(insts []Inst) []byte {
 		in.Encode(out[i*Size:])
 	}
 	return out
-}
-
-// DecodeProgram decodes as many whole instructions as b contains. Trailing
-// bytes shorter than one instruction are ignored. It stops at the first
-// undecodable instruction and returns what it has along with the error.
-func DecodeProgram(b []byte) ([]Inst, error) {
-	var out []Inst
-	for off := 0; off+Size <= len(b); off += Size {
-		in, err := Decode(b[off:])
-		if err != nil {
-			return out, fmt.Errorf("at offset %#x: %w", off, err)
-		}
-		out = append(out, in)
-	}
-	return out, nil
 }

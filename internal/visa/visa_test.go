@@ -72,19 +72,6 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-func TestBranchClassification(t *testing.T) {
-	for op := Op(0); op < opCount; op++ {
-		wantBranch := op == JMP || op == JZ || op == JNZ || op == JLT || op == CALL
-		if got := op.IsBranch(); got != wantBranch {
-			t.Errorf("%v.IsBranch() = %v, want %v", op, got, wantBranch)
-		}
-		wantCond := op == JZ || op == JNZ || op == JLT
-		if got := op.IsConditional(); got != wantCond {
-			t.Errorf("%v.IsConditional() = %v, want %v", op, got, wantCond)
-		}
-	}
-}
-
 func TestAssemblerForwardAndBackwardLabels(t *testing.T) {
 	var a Assembler
 	a.Movi(0, 3)
@@ -138,30 +125,19 @@ func TestEncodeDecodeProgram(t *testing.T) {
 	a.Halt()
 	raw := a.MustAssemble()
 
-	insts, err := DecodeProgram(raw)
-	if err != nil {
-		t.Fatalf("DecodeProgram: %v", err)
+	if len(raw) != 5*Size {
+		t.Fatalf("assembled %d bytes, want %d", len(raw), 5*Size)
 	}
-	if len(insts) != 5 {
-		t.Fatalf("decoded %d instructions, want 5", len(insts))
+	var insts []Inst
+	for off := 0; off < len(raw); off += Size {
+		in, err := Decode(raw[off:])
+		if err != nil {
+			t.Fatalf("Decode at %#x: %v", off, err)
+		}
+		insts = append(insts, in)
 	}
 	if !bytes.Equal(EncodeProgram(insts), raw) {
-		t.Error("EncodeProgram(DecodeProgram(x)) != x")
-	}
-}
-
-func TestDecodeProgramStopsAtBadInstruction(t *testing.T) {
-	good := Inst{Op: NOP}.Bytes()
-	bad := Inst{Op: opCount}.Bytes()
-	insts, err := DecodeProgram(append(append([]byte{}, good...), bad...))
-	if err == nil {
-		t.Fatal("DecodeProgram accepted a bad opcode")
-	}
-	if len(insts) != 1 {
-		t.Errorf("decoded %d instructions before error, want 1", len(insts))
-	}
-	if !strings.Contains(err.Error(), "0x8") {
-		t.Errorf("error %q does not name the failing offset", err)
+		t.Error("EncodeProgram of the decoded instructions != the assembled bytes")
 	}
 }
 
@@ -174,6 +150,37 @@ func TestInstStringCoversAllOps(t *testing.T) {
 	}
 	if got := Op(200).String(); got != "OP(200)" {
 		t.Errorf("unknown opcode string = %q", got)
+	}
+}
+
+// TestInstStringGolden pins the assembler syntax pe-inspect's -disasm prints,
+// one row per operand shape Inst.String formats.
+func TestInstStringGolden(t *testing.T) {
+	cases := []struct {
+		in   Inst
+		want string
+	}{
+		{Inst{Op: NOP}, "NOP"},
+		{Inst{Op: POPA}, "POPA"},
+		{Inst{Op: MOVI, Ra: 3, Imm: -12345}, "MOVI R3, -12345"},
+		{Inst{Op: SHRI, Ra: 2, Imm: 16}, "SHRI R2, 16"},
+		{Inst{Op: ADD, Ra: 1, Rb: 2}, "ADD R1, R2"},
+		{Inst{Op: LOADB, Ra: 0, Rb: 7, Imm: 12}, "LOADB R0, [R7+12]"},
+		{Inst{Op: STOREW, Ra: 5, Rb: 6, Imm: -4}, "STOREW R5, [R6-4]"},
+		{Inst{Op: LOADW, Ra: 1, Rb: 2}, "LOADW R1, [R2+0]"},
+		{Inst{Op: PUSH, Ra: 7}, "PUSH R7"},
+		{Inst{Op: JMPR, Ra: 4}, "JMPR R4"},
+		{Inst{Op: JMP, Imm: 16}, "JMP +16"},
+		{Inst{Op: CALL, Imm: -8}, "CALL -8"},
+		{Inst{Op: JNZ, Ra: 4, Imm: -8}, "JNZ R4, -8"},
+		{Inst{Op: JLT, Ra: 1, Rb: 2, Imm: 24}, "JLT R1, R2, +24"},
+		{Inst{Op: SYS, Imm: 901}, "SYS 901"},
+		{Inst{Op: Op(200), Ra: 1, Rb: 2, Imm: 3}, "OP(200) R1, R2, 3"},
+	}
+	for _, tc := range cases {
+		if got := tc.in.String(); got != tc.want {
+			t.Errorf("%+v.String() = %q, want %q", tc.in, got, tc.want)
+		}
 	}
 }
 
