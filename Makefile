@@ -26,7 +26,7 @@ SCENARIO_BENCH_JSON ?= BENCH_9.json
 BENCHJSON_FORCE = $(if $(FORCE_BENCH),-force,)
 
 .PHONY: all fmt build vet lint lint-bench test race race-all bench bench-full \
-        bench-json quant-gate alloc serve-smoke serve-faults reload-smoke \
+        bench-json alloc serve-smoke serve-faults reload-smoke \
         cluster-smoke scenario-gate perfbench mutants ci
 
 all: build
@@ -81,8 +81,8 @@ race-all:
 
 # bench is the quick smoke: the data-parallel training step across worker
 # counts, then one pass of each benchmark that reaches the trained suite
-# through its engine set (named-engine lookup, set-wide quant switch,
-# known-model ensemble), so they run in CI rather than only compile.
+# through its engine set (named-engine lookup, known-model ensemble), so
+# they run in CI rather than only compile.
 bench:
 	$(GO) test -run '^$$' -bench 'TrainBatchParallel' -benchtime=3x -benchmem .
 	$(GO) test -run '^$$' \
@@ -99,24 +99,12 @@ bench-full:
 # regression diffing.
 bench-json:
 	$(GO) test -run '^$$' \
-		-bench 'DetectorPredict$$|DetectorPredictQuant$$|MalGCGPredict$$|StreamScore$$|InputGradient$$|ShapleySample$$' \
+		-bench 'DetectorPredict$$|MalGCGPredict$$|StreamScore$$|InputGradient$$|ShapleySample$$' \
 		-benchmem -count=1 . | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) -out $(BENCH_JSON)
 	FORCE_BENCH=$(FORCE_BENCH) sh scripts/drill.sh bench $(SERVE_BENCH_JSON)
 
-# quant-gate is the fixed-point speedup gate: the int32 quantized table
-# path must beat the float64 table path by >= 1.3x, measured in a single
-# `go test -bench` run on the serving-size network so machine noise
-# cancels. (The matching accuracy gates — <= 1e-6 score deviation and zero
-# label flips on the eval corpus — are ordinary tests in internal/nn and
-# internal/detect.)
-quant-gate:
-	$(GO) test -run '^$$' -bench 'PredictTable(Float|Quant32)$$' -count=1 \
-		./internal/nn | $(GO) run ./cmd/benchjson \
-		-gate 'BenchmarkPredictTableFloat,BenchmarkPredictTableQuant32,1.3' >/dev/null
-
-# alloc is the allocation-regression gate: the scoring and gradient hot
-# paths — float, quantized, and streaming — must stay zero-allocation in
-# steady state.
+# alloc is the allocation-regression gate: the scoring, gradient and
+# streaming hot paths must stay zero-allocation in steady state.
 alloc:
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/nn
 
@@ -126,8 +114,8 @@ alloc:
 # drain cleanly on SIGTERM. Drills given a BENCH file write it on first
 # run (append-only; FORCE_BENCH=1 regenerates).
 #
-# serve-smoke: one int32-quantized replica; a scan burst, an attack job and
-# a streamed upload (serve-smoke.json).
+# serve-smoke: one replica; a scan burst, an attack job and a streamed
+# upload (serve-smoke.json).
 serve-smoke:
 	sh scripts/drill.sh smoke
 
@@ -171,4 +159,4 @@ perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 	bash perfbench/run.sh --workload attack-mix --seed 1 --seconds 16 --trace 0
 
-ci: fmt build vet lint lint-bench test mutants race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench
+ci: fmt build vet lint lint-bench test mutants race alloc bench serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench

@@ -359,22 +359,6 @@ func BenchmarkMalGCGPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorPredictQuant measures the same MalConv forward pass
-// through the int32 fixed-point tables — the certified quantized serving
-// mode. Compare against BenchmarkDetectorPredict in the same run.
-func BenchmarkDetectorPredictQuant(b *testing.B) {
-	s := suite(b)
-	mc := malconv(b)
-	raw := benchVictim(b)
-	s.Engines.SetQuantMode(nn.QuantInt32)
-	defer s.Engines.SetQuantMode(nn.QuantOff)
-	mc.Score(raw) // build the quant tables outside the timed region
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mc.Score(raw)
-	}
-}
-
 // BenchmarkStreamScore measures the O(chunk) streaming scorer on the same
 // sample, fed in 4 KiB chunks.
 func BenchmarkStreamScore(b *testing.B) {

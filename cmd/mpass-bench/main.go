@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"mpass/internal/eval"
-	"mpass/internal/nn"
 )
 
 func main() {
@@ -30,13 +29,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool size for training, scoring, and attacks (0 = GOMAXPROCS)")
 	outPath := flag.String("out", "", "also write the report to this file")
 	csvDir := flag.String("csv", "", "also export grids as CSV into this directory")
-	quant := flag.String("quant", "off", "fixed-point inference tables for the neural detectors: off or int32")
 	flag.Parse()
-
-	qmode, err := nn.ParseQuantMode(*quant)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	cfg := eval.DefaultConfig()
 	if *quick {
@@ -68,13 +61,6 @@ func main() {
 	s, err := eval.Setup(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if qmode != nn.QuantOff {
-		// Quantized tables change victim scores by at most the certified
-		// bound (1e-6 for int32), so the tables below are expected to match
-		// the float64 run — this flag exists to measure that on real runs.
-		s.Engines.SetQuantMode(qmode)
-		fmt.Fprintf(out, "quantized inference: %v\n", qmode)
 	}
 	fmt.Fprintf(out, "suite ready in %v; %d eligible victims\n\n",
 		time.Since(start).Round(time.Second), len(s.Victims))

@@ -40,7 +40,6 @@ import (
 	"mpass/internal/detect"
 	"mpass/internal/engine"
 	"mpass/internal/faultinject"
-	"mpass/internal/nn"
 	"mpass/internal/server"
 	"mpass/internal/tenant"
 )
@@ -66,7 +65,6 @@ func main() {
 	attackQueue := flag.Int("attack-queue", 64, "attack admission queue; full sheds with 429")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-	quant := flag.String("quant", "off", "fixed-point inference tables for the neural detectors: off or int32")
 	streamThreshold := flag.Int64("stream-threshold", 1<<20, "scan bodies longer than this stream in O(chunk) memory (negative disables streaming)")
 	streamChunk := flag.Int("stream-chunk", 256<<10, "streaming scan read size")
 	maxStreamBytes := flag.Int64("max-stream-bytes", 64<<20, "largest accepted streamed scan body (413 beyond)")
@@ -87,23 +85,9 @@ func main() {
 		log.Fatalf("workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
 
-	qmode, err := nn.ParseQuantMode(*quant)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	set, err := loadOrTrain(*models, *seed, *nMal, *nBen, *workers)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if qmode != nn.QuantOff {
-		// Applied after load/train, before serving: the fixed-point tables
-		// derive from the resident weights on first use and survive model
-		// hot paths for the daemon's lifetime. int32 is the certified
-		// (<= 1e-6 score deviation, label-identical) serving mode. Reloaded
-		// engine sets get the same mode applied during certification.
-		set.SetQuantMode(qmode)
-		log.Printf("quantized inference: %v", qmode)
 	}
 	reg, err := engine.NewRegistry(set)
 	if err != nil {
@@ -123,7 +107,6 @@ func main() {
 	cfg := server.Config{
 		Registry: reg,
 		Attack:   server.MPassAttack(reg, pool, *maxQueries),
-		Quant:    qmode,
 		// Reload re-reads the model path (or the request's ?path= override)
 		// and hands the candidate set to the server's certify-then-swap.
 		Reload: func(override string) (*engine.Set, error) {

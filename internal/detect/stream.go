@@ -8,7 +8,6 @@ package detect
 import (
 	"mpass/internal/features"
 	"mpass/internal/gbdt"
-	"mpass/internal/nn"
 )
 
 // ScoreStream scores one sample incrementally. Feed the sample's bytes in
@@ -47,13 +46,4 @@ func (s *gbdtStream) Finish() float64 { return s.e.Predict(s.ex.Finish()) }
 // the bound) while every byte-level family stays exact.
 func (d *GBDTDetector) NewStream() ScoreStream {
 	return &gbdtStream{ex: features.NewStreamExtractor(), e: d.Ensemble}
-}
-
-// SetQuantMode switches this detector's network to the given fixed-point
-// table format (nn.QuantOff restores the float64 reference path). It is the
-// per-engine hook the driver layer's quantization capability probe finds.
-func (d *ConvDetector) SetQuantMode(m nn.QuantMode) {
-	if d != nil && d.Net != nil {
-		d.Net.SetQuantMode(m)
-	}
 }

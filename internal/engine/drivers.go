@@ -12,8 +12,8 @@ import (
 
 // Driver implementations for every model family in the repo. The conv and
 // tree drivers embed their detect counterparts, so the full capability
-// surface (BatchScorer, Thresholder, Streamer, GradientModel, Quantizer)
-// promotes through and the probes find it without unwrapping; versions are
+// surface (BatchScorer, Thresholder, Streamer, GradientModel) promotes
+// through and the probes find it without unwrapping; versions are
 // content digests of the serialized weights, computed once at construction.
 
 // payloadDigest is the content-addressed engine version: a digest of the
@@ -34,8 +34,7 @@ func encodePayload(v any) ([]byte, error) {
 }
 
 // ConvDriver plugs a gated-conv detector (MalConv, NonNeg, MalGCG) into the
-// registry. Streaming, gradients, and quantization all promote from the
-// embedded detector.
+// registry. Streaming and gradients promote from the embedded detector.
 type ConvDriver struct {
 	*detect.ConvDetector
 	version string

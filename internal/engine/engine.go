@@ -6,13 +6,13 @@
 // under live traffic without a restart.
 //
 // The interface is deliberately the intersection every engine can honor;
-// richer capabilities (streaming scoring, embedding-space gradients,
-// fixed-point table modes) are optional and discovered through the
-// capability probes (StreamerOf, GradientOf, QuantizerOf), which look
-// through wrapper drivers via Unwrapper. The serving layer never type-checks
-// concrete models again: a new engine plugs into the batcher, the score
-// cache, persistence, and the attack oracle by implementing Driver and —
-// when it wants a seat in persistence — an envelope kind (persist.go).
+// richer capabilities (streaming scoring, embedding-space gradients) are
+// optional and discovered through the capability probes (StreamerOf,
+// GradientOf), which look through wrapper drivers via Unwrapper. The
+// serving layer never type-checks concrete models again: a new engine
+// plugs into the batcher, the score cache, persistence, and the attack
+// oracle by implementing Driver and — when it wants a seat in
+// persistence — an envelope kind (persist.go).
 package engine
 
 import (
@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"mpass/internal/detect"
-	"mpass/internal/nn"
 )
 
 // Driver is one named detector engine. It extends detect.Detector (Name,
@@ -51,12 +50,6 @@ type Driver interface {
 // through it to the underlying detector.
 type Unwrapper interface {
 	Unwrap() detect.Detector
-}
-
-// Quantizer is the fixed-point capability: engines whose inference tables
-// can switch between float64 and int32 modes (the gated-conv family).
-type Quantizer interface {
-	SetQuantMode(m nn.QuantMode)
 }
 
 // StreamerOf probes d for the streaming-scorer capability, looking through
@@ -89,19 +82,10 @@ func GradientOf(d Driver) (detect.GradientModel, bool) {
 	return nil, false
 }
 
-// QuantizerOf probes d for the fixed-point table capability, looking through
-// wrappers.
-func QuantizerOf(d Driver) (Quantizer, bool) {
-	if q, ok := d.(Quantizer); ok {
-		return q, true
-	}
-	if u, ok := d.(Unwrapper); ok {
-		if q, ok := u.Unwrap().(Quantizer); ok {
-			return q, true
-		}
-	}
-	return nil, false
-}
+// QuantizerOf is deprecated: no engine has a fixed-point table mode any
+// more, so it always reports false. It remains only for callers that still
+// probe for it.
+func QuantizerOf(Driver) (any, bool) { return nil, false }
 
 // GradientModels is MPass's known-model ensemble for an attack on the named
 // target: every gradient-capable member of the set except the target, in
@@ -196,16 +180,6 @@ func (s *Set) Index(name string) (int, bool) {
 
 // Version identifies this exact model generation.
 func (s *Set) Version() string { return s.version }
-
-// SetQuantMode switches every member with the fixed-point capability to the
-// given table format (nn.QuantOff restores the float64 path); others ignore it.
-func (s *Set) SetQuantMode(m nn.QuantMode) {
-	for _, d := range s.drivers {
-		if q, ok := QuantizerOf(d); ok {
-			q.SetQuantMode(m)
-		}
-	}
-}
 
 // Registry holds the active Set behind an atomic pointer: readers (every
 // scan, every oracle query) and Swap never lock. A reader that loads the

@@ -1,14 +1,12 @@
 package engine
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"mpass/internal/corpus"
 	"mpass/internal/detect"
-	"mpass/internal/nn"
 )
 
 // Shared fixtures: detector training dominates this package's test time, so
@@ -313,53 +311,8 @@ func TestGradientModelsMatchSuiteKnownFor(t *testing.T) {
 	}
 }
 
-// TestSetQuantMode: the set-wide switch moves every conv engine onto its
-// int32 tables (scores within the certified 1e-6), leaves engines without
-// the capability bit-identical, and QuantOff restores every float score bit
-// for bit.
-func TestSetQuantMode(t *testing.T) {
-	_, raws := fixtures(t)
-	set := fullSet(t)
-	defer set.SetQuantMode(nn.QuantOff)
-	ref := make([][]float64, set.Len())
-	for i, d := range set.Drivers() {
-		ref[i] = d.ScoreBatch(raws)
-	}
-
-	set.SetQuantMode(nn.QuantInt32)
-	for i, d := range set.Drivers() {
-		_, quantizes := QuantizerOf(d)
-		moved := false
-		for j, got := range d.ScoreBatch(raws) {
-			moved = moved || got != ref[i][j]
-			switch {
-			case quantizes && math.Abs(got-ref[i][j]) > 1e-6:
-				t.Fatalf("%s sample %d: int32 score %v deviates from float %v by more than 1e-6",
-					d.Name(), j, got, ref[i][j])
-			case !quantizes && got != ref[i][j]:
-				t.Fatalf("%s sample %d: score moved to %v from %v without a quantizer",
-					d.Name(), j, got, ref[i][j])
-			}
-		}
-		// The int32 tables round, so a conv engine that really switched
-		// moves at least one score in its last bits.
-		if quantizes && !moved {
-			t.Fatalf("%s: no score moved, so the int32 tables never served", d.Name())
-		}
-	}
-
-	set.SetQuantMode(nn.QuantOff)
-	for i, d := range set.Drivers() {
-		for j, got := range d.ScoreBatch(raws) {
-			if math.Float64bits(got) != math.Float64bits(ref[i][j]) {
-				t.Fatalf("%s sample %d: QuantOff score %v != original float %v", d.Name(), j, got, ref[i][j])
-			}
-		}
-	}
-}
-
 // TestCapabilityProbesLookThroughWrappers: a detect.Detector adapted via
-// WrapDetector keeps its streaming/gradient/quantization capabilities
+// WrapDetector keeps its streaming and gradient capabilities
 // discoverable through Unwrap.
 func TestCapabilityProbesLookThroughWrappers(t *testing.T) {
 	suite, _ := fixtures(t)
@@ -376,9 +329,6 @@ func TestCapabilityProbesLookThroughWrappers(t *testing.T) {
 	if _, ok := GradientOf(wrapped); !ok {
 		t.Fatal("gradient capability lost through the wrapper")
 	}
-	if _, ok := QuantizerOf(wrapped); !ok {
-		t.Fatal("quantizer capability lost through the wrapper")
-	}
 	// And the probes answer no, not panic, for engines without the capability.
 	lgbm, err := NewGBDTDriver(suite.LGBM)
 	if err != nil {
@@ -389,9 +339,6 @@ func TestCapabilityProbesLookThroughWrappers(t *testing.T) {
 	}
 	if _, ok := StreamerOf(lgbm); !ok {
 		t.Fatal("tree engine lost its streaming capability")
-	}
-	if _, ok := QuantizerOf(stub("A", "v1")); ok {
-		t.Fatal("stub claimed the quantizer capability")
 	}
 }
 

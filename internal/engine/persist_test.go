@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mpass/internal/detect"
-	"mpass/internal/nn"
 )
 
 // TestEnvelopeRoundTripBitIdentity is the per-engine persistence gate: for
@@ -237,47 +236,6 @@ func TestSuiteEnvelopeRoundTripParity(t *testing.T) {
 			if ld.Label(raw) != d.Label(raw) {
 				t.Fatalf("%s sample %d: loaded label flipped", d.Name(), j)
 			}
-		}
-	}
-}
-
-// TestEnvelopeQuantRoundTrip: fixed-point tables are runtime-only. An
-// engine saved while serving int32 must load on the float64 reference
-// path, score bit-identically to its float64 source, and — once the mode
-// is re-applied — rebuild quant tables that agree with the source's.
-func TestEnvelopeQuantRoundTrip(t *testing.T) {
-	suite, raws := fixtures(t)
-	conv, err := NewConvDriver(suite.MalConv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conv.SetQuantMode(nn.QuantOff)
-	conv.SetQuantMode(nn.QuantInt32)
-	var buf bytes.Buffer
-	if err := SaveEngine(&buf, conv, 0); err != nil {
-		t.Fatalf("SaveEngine with quant enabled: %v", err)
-	}
-	quantScores := conv.ScoreBatch(raws)
-	conv.SetQuantMode(nn.QuantOff)
-	floatScores := conv.ScoreBatch(raws)
-
-	loaded, _, err := LoadEngine(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadEngine: %v", err)
-	}
-	for j, raw := range raws {
-		if got := loaded.Score(raw); got != floatScores[j] {
-			t.Fatalf("sample %d: loaded float score %v != source %v", j, got, floatScores[j])
-		}
-	}
-	q, ok := QuantizerOf(loaded)
-	if !ok {
-		t.Fatal("loaded conv engine is not quantizable")
-	}
-	q.SetQuantMode(nn.QuantInt32)
-	for j, raw := range raws {
-		if got := loaded.Score(raw); got != quantScores[j] {
-			t.Fatalf("sample %d: loaded quant score %v != source quant %v", j, got, quantScores[j])
 		}
 	}
 }

@@ -166,11 +166,17 @@ func sectionFeatures(f *pefile.File) []float64 {
 		nExec, nData, nNonStd         float64
 		codeEnt, dataEnt, maxEnt      float64
 		codeBytes, dataBytes, allSize float64
+		entryEnt, entryStd            float64
 	)
+	// EntrySection points into f.Sections, so the loop scores its entropy.
+	entry := f.EntrySection()
 	for _, s := range f.Sections {
 		e := Entropy(s.Data)
 		if e > maxEnt {
 			maxEnt = e
+		}
+		if s == entry {
+			entryEnt = e
 		}
 		allSize += float64(len(s.Data))
 		if s.IsCode() {
@@ -198,14 +204,8 @@ func sectionFeatures(f *pefile.File) []float64 {
 		codeRatio = codeBytes / allSize
 		dataRatio = dataBytes / allSize
 	}
-	entry := f.EntrySection()
-	entryEnt := 0.0
-	entryStd := 0.0
-	if entry != nil {
-		entryEnt = Entropy(entry.Data)
-		if standardNames[entry.Name] {
-			entryStd = 1
-		}
+	if entry != nil && standardNames[entry.Name] {
+		entryStd = 1
 	}
 	return []float64{
 		nExec, nData, nNonStd,

@@ -288,6 +288,23 @@ func newScanResponse(ms *engine.Set, out scanOut, key [32]byte, size int, cached
 		Gate: `go test -run '^TestTableForwardMatchesDirect$' ./internal/nn`,
 	},
 
+	// The table kernel's window bound keeps the first all-padding window,
+	// and its register tiles read each lane where the fused layout put it.
+	{
+		// The bound visits one window fewer, dropping the padding window.
+		File: "internal/nn/fastpath.go",
+		Old:  `return min(cfg.positions(), (n+cfg.Stride-1)/cfg.Stride+1)`,
+		New:  `return min(cfg.positions(), (n+cfg.Stride-1)/cfg.Stride)`,
+		Gate: `go test -run '^TestTableForwardMatchesDirect$' ./internal/nn`,
+	},
+	{
+		// The 4-lane tile reads its gate lanes at the 8-lane offset.
+		File: "internal/nn/fastpath.go",
+		Old:  `g := lanes[off+tile+4 : off+tile+8 : off+tile+8]`,
+		New:  `g := lanes[off+tile+8 : off+tile+12 : off+tile+12]`,
+		Gate: `go test -run '^TestTableForwardMatchesDirect$' ./internal/nn`,
+	},
+
 	// A negative drill's scenario must decode: a decode error also exits
 	// non-zero, so it would pass for the expected gate failure.
 	{

@@ -79,14 +79,6 @@ type ConvNet struct {
 	tab           atomic.Pointer[respTable]
 	tabMu         sync.Mutex
 
-	// Fixed-point variant (quant.go): quantMode selects the served table
-	// format, qtab caches the quantized image of the float table for one
-	// (version, mode) pair. Never persisted — rebuilt lazily after any
-	// weight change, mode switch, or gob decode.
-	quantMode atomic.Int32
-	qtab      atomic.Pointer[quantTable]
-	qtabMu    sync.Mutex
-
 	// Reusable per-call buffers: scratchPool holds forward/backward scratch
 	// (one per in-flight forward), igPool recycles InputGrad results after
 	// Release, streamPool recycles ConvStream shells (stream.go). All three
@@ -177,21 +169,12 @@ func (n *ConvNet) zeroGrads() {
 // the padding symbol, as in MalConv. Short inputs are padded into the
 // scratch buffer, so no per-call allocation happens either way.
 func (n *ConvNet) pad(b []byte, sc *scratch) []byte {
-	L := n.Cfg.SeqLen
-	if len(b) >= L {
-		return b[:L]
-	}
-	out := sc.padBuf
-	copy(out, b)
-	for i := len(b); i < L; i++ {
-		out[i] = 0
-	}
-	return out
+	return n.padTo(b, n.Cfg.SeqLen, sc)
 }
 
 // cache holds the forward intermediates needed for one backward pass.
 type cache struct {
-	x      []byte     // padded input
+	x      []byte     // padded input (the table path: its visited prefix)
 	argmax []int      // per filter: window index of the max activation
 	cVal   tensor.Vec // conv pre-activation at argmax
 	gVal   tensor.Vec // gate pre-activation at argmax
@@ -279,19 +262,12 @@ func (n *ConvNet) head(c *cache) {
 }
 
 // Predict returns the malware probability for raw bytes, through the
-// lookup-table fast path — float64 tables by default, the fixed-point
-// variant when a QuantMode is set. Steady state allocates nothing either
-// way.
+// lookup-table fast path. Steady state allocates nothing.
 //
 //mpass:zeroalloc
 func (n *ConvNet) Predict(raw []byte) float64 {
 	sc := n.getScratch()
-	var score float64
-	if qt := n.quantTables(); qt != nil {
-		score = n.forwardTableQuant(raw, qt, sc).score
-	} else {
-		score = n.forwardTable(raw, n.tables(), sc).score
-	}
+	score := n.forwardTable(raw, n.tables(), sc).score
 	n.putScratch(sc)
 	return score
 }
@@ -302,14 +278,6 @@ func (n *ConvNet) Predict(raw []byte) float64 {
 func (n *ConvNet) PredictBatch(raws [][]byte) []float64 {
 	scores := make([]float64, len(raws))
 	if len(raws) == 0 {
-		return scores
-	}
-	if qt := n.quantTables(); qt != nil {
-		parallel.ForEach(n.Workers, len(raws), func(i int) {
-			sc := n.getScratch()
-			scores[i] = n.forwardTableQuant(raws[i], qt, sc).score
-			n.putScratch(sc)
-		})
 		return scores
 	}
 	tab := n.tables()

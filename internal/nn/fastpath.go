@@ -30,15 +30,14 @@ import (
 // Storage is cache-tiled: conv and gate responses for one (offset, byte)
 // pair are fused into a single row, blocked into feature tiles of
 // featureTile lanes so the K row additions of a window walk contiguous
-// cache lines instead of striding across two parallel arrays. quant.go
-// layers an int32 fixed-point variant over the same geometry, and
-// stream.go exposes the whole engine as a chunk-at-a-time scorer.
+// cache lines instead of striding across two parallel arrays. stream.go
+// exposes the whole engine as a chunk-at-a-time scorer.
 //
 // Most windows are padding: samples average ~3.3 KB against a 16 KiB
-// SeqLen, so ~90% of a served pass's windows are all-zero bytes. Both
-// table kernels score the first all-zero window of a pass and skip the
-// rest, exactly (repeatedZero). The direct forward stays unskipped as the
-// parity reference.
+// SeqLen, so ~80% of a served pass's windows lie wholly past the sample's
+// end. The table kernel stops at the first of them (visited) and skips
+// repeated all-zero windows inside the sample (repeatedZero), both
+// exactly. The direct forward stays unskipped as the parity reference.
 
 // featureTile is the tile width of the fused table layout: 8 float64 lanes
 // = one 64-byte cache line. Within a row, tile i carries the conv lanes for
@@ -75,6 +74,14 @@ func laneOffsets(F, f int) (conv, gate int) {
 	conv = 2*f0 + (f - f0)
 	return conv, conv + w
 }
+
+// QuantMode is deprecated and ignored: the table kernel has one numeric
+// format, float64. The type and QuantOff remain only so that callers naming
+// them keep compiling.
+type QuantMode int32
+
+// QuantOff is the float64 table path, the only one there is.
+const QuantOff QuantMode = 0
 
 // MarkWeightsChanged invalidates the inference tables. TrainBatch calls it
 // after every optimizer step; callers that mutate weights directly (Adam.Step
@@ -158,7 +165,7 @@ func zeroWindow(win []byte) bool {
 }
 
 // repeatedZero reports whether win is all-zero and an all-zero window was
-// already scored in this pass, recording the first one in *seen. A table
+// already scored in this pass, recording the first one in *seen. The table
 // kernel skips a window it reports, and the skip is exact: a window's
 // activations depend only on its bytes, max pooling updates only on a
 // strict h > best[f], and best[f] never falls, so a repeat of the scored
@@ -178,53 +185,55 @@ func repeatedZero(win []byte, seen *bool) bool {
 
 // forwardTable is the frozen-weight forward pass over precomputed response
 // tables. It fills the same backward-ready cache as the direct path and is
-// bit-identical to it, repeated all-zero windows skipped (repeatedZero).
+// bit-identical to it.
+//
+// It visits only the windows that touch the sample plus the first
+// all-padding window (visited), reading them from a prefix of the padded
+// input that is zeroed only as far as the last byte visited. Every later
+// window is all padding and so repeats that scored zero window, as
+// repeated all-zero windows inside the sample do (repeatedZero); skipping
+// either is exact.
 //
 // Per window the K row offsets are resolved once into a scratch index
-// buffer, then each filter's conv and gate sums accumulate in registers
-// over the K rows in j order — exactly the direct path's fold order, so
-// tiling and the register rewrite change the memory walk, never the
-// arithmetic. The tile loop keeps the two lanes a filter needs on the same
-// (or an adjacent) cache line; see featureTile.
+// buffer, then each feature tile's conv and gate sums accumulate in
+// registers over the K rows in j order, starting from 0 (sumTile8,
+// sumTile4) — exactly the direct path's fold order, so tiling and the
+// register rewrite change the memory walk, never the arithmetic. The tile
+// loop keeps the two lanes a filter needs on the same (or an adjacent)
+// cache line; see featureTile.
 //
 //mpass:zeroalloc
 func (n *ConvNet) forwardTable(raw []byte, tab *respTable, sc *scratch) *cache {
 	cfg := n.Cfg
 	c := &sc.c
-	c.x = n.pad(raw, sc)
-	T := cfg.positions()
 	F := cfg.Filters
 	F2 := 2 * F
-	K := cfg.Kernel
+	K, S := cfg.Kernel, cfg.Stride
+	T := visited(cfg, len(raw))
+	x := n.padTo(raw, (T-1)*S+K, sc)
+	c.x = x
 	best := sc.best
 	best.Fill(math.Inf(-1))
 	winC, winG := sc.winC, sc.winG
 	lanes := tab.lanes
-	idx := sc.qIdx
-	x := c.x
+	idx := sc.idx
 	seenZero := false
 	for t := 0; t < T; t++ {
-		pos := t * cfg.Stride
-		if repeatedZero(x[pos:pos+K], &seenZero) {
+		win := x[t*S : t*S+K]
+		if repeatedZero(win, &seenZero) {
 			continue
 		}
-		for j := 0; j < K; j++ {
-			idx[j] = (j*256 + int(x[pos+j])) * F2
+		for j, b := range win {
+			idx[j] = (j*256 + int(b)) * F2
 		}
 		for f0 := 0; f0 < F; f0 += featureTile {
-			w := tileWidth(F, f0)
-			tile := 2 * f0
-			for i := 0; i < w; i++ {
-				ci := tile + i
-				gi := ci + w
-				var cv, gv float64
-				for j := 0; j < K; j++ {
-					off := idx[j]
-					cv += lanes[off+ci]
-					gv += lanes[off+gi]
-				}
-				winC[f0+i] = cv
-				winG[f0+i] = gv
+			switch w := tileWidth(F, f0); w {
+			case 8:
+				sumTile8(lanes, idx, 2*f0, winC[f0:f0+8], winG[f0:f0+8])
+			case 4:
+				sumTile4(lanes, idx, 2*f0, winC[f0:f0+4], winG[f0:f0+4])
+			default:
+				sumTile(lanes, idx, 2*f0, winC[f0:f0+w], winG[f0:f0+w])
 			}
 		}
 		for f := 0; f < F; f++ {
@@ -253,6 +262,104 @@ func (n *ConvNet) forwardTable(raw []byte, tab *respTable, sc *scratch) *cache {
 	return c
 }
 
+// visited returns how many leading windows forwardTable scores for an input
+// of n bytes: those that start inside the (truncated) sample, plus the first
+// window that starts past its end — all padding — capped at positions().
+func visited(cfg ConvConfig, n int) int {
+	n = min(n, cfg.SeqLen)
+	return min(cfg.positions(), (n+cfg.Stride-1)/cfg.Stride+1)
+}
+
+// padTo returns the first need bytes of raw zero-padded to SeqLen, copying
+// into the scratch buffer only when raw is shorter than need, and zeroing
+// only up to need.
+//
+//mpass:zeroalloc
+func (n *ConvNet) padTo(raw []byte, need int, sc *scratch) []byte {
+	if len(raw) >= need {
+		return raw[:need]
+	}
+	x := sc.padBuf[:need]
+	copy(x, raw)
+	clear(x[len(raw):])
+	return x
+}
+
+// sumTile8 sums one 8-lane feature tile, starting at lane tile of each row,
+// over the window's rows in j order: conv into winC, gate into winG. Each
+// half is its own pass so its eight sums fit in registers, and each row
+// costs one bounds check per pass.
+//
+//mpass:zeroalloc
+func sumTile8(lanes []float64, idx []int, tile int, winC, winG []float64) {
+	sum8(lanes, idx, tile, winC)
+	sum8(lanes, idx, tile+8, winG)
+}
+
+// sum8 sums the eight lanes starting at lane at of each row, in j order.
+//
+//mpass:zeroalloc
+func sum8(lanes []float64, idx []int, at int, out []float64) {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for _, off := range idx {
+		r := lanes[off+at : off+at+8 : off+at+8]
+		s0 += r[0]
+		s1 += r[1]
+		s2 += r[2]
+		s3 += r[3]
+		s4 += r[4]
+		s5 += r[5]
+		s6 += r[6]
+		s7 += r[7]
+	}
+	out = out[:8]
+	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+}
+
+// sumTile4 is sumTile8 for a 4-lane remainder tile, such as MalGCG's
+// filters 8–11 (F = 12). Its eight sums fit in registers in one pass.
+//
+//mpass:zeroalloc
+func sumTile4(lanes []float64, idx []int, tile int, winC, winG []float64) {
+	var c0, c1, c2, c3, g0, g1, g2, g3 float64
+	for _, off := range idx {
+		c := lanes[off+tile : off+tile+4 : off+tile+4]
+		g := lanes[off+tile+4 : off+tile+8 : off+tile+8]
+		c0 += c[0]
+		c1 += c[1]
+		c2 += c[2]
+		c3 += c[3]
+		g0 += g[0]
+		g1 += g[1]
+		g2 += g[2]
+		g3 += g[3]
+	}
+	winC = winC[:4]
+	winC[0], winC[1], winC[2], winC[3] = c0, c1, c2, c3
+	winG = winG[:4]
+	winG[0], winG[1], winG[2], winG[3] = g0, g1, g2, g3
+}
+
+// sumTile is the same sum for a tile of any width w = len(winC), lane by
+// lane.
+//
+//mpass:zeroalloc
+func sumTile(lanes []float64, idx []int, tile int, winC, winG []float64) {
+	w := len(winC)
+	for i := range winC {
+		ci := tile + i
+		gi := ci + w
+		var cv, gv float64
+		for _, off := range idx {
+			cv += lanes[off+ci]
+			gv += lanes[off+gi]
+		}
+		winC[i] = cv
+		winG[i] = gv
+	}
+}
+
 // scratch bundles every buffer one forward (and optionally backward) pass
 // needs: the cache of intermediates, the padded-input and gather buffers,
 // per-window accumulators for the table path, and the backward delta
@@ -266,13 +373,9 @@ type scratch struct {
 	dPooled    tensor.Vec // Filters: backward delta
 	dHid       tensor.Vec // Hidden: backward delta (nil without hidden layer)
 
-	// Kernel-length row-offset buffer shared by the table forward passes:
-	// per window, the K (offset, byte) row starts are resolved once here.
-	qIdx []int
-	// Per-filter integer prune thresholds for the fixed-point path
-	// (quant.go): the largest conv sum that provably cannot beat the
-	// running max.
-	qTh []int64
+	// Kernel-length row-offset buffer of the table forward pass: per
+	// window, the K (offset, byte) row starts are resolved once here.
+	idx []int
 }
 
 // getScratch returns a scratch sized for this network, recycled when
@@ -284,7 +387,7 @@ func (n *ConvNet) getScratch() *scratch {
 		// A recycled scratch can predate a GobDecode that swapped the
 		// architecture; drop it and allocate for the current shape.
 		if len(sc.padBuf) == cfg.SeqLen && len(sc.best) == cfg.Filters &&
-			len(sc.c.hidden) == cfg.Hidden && len(sc.qIdx) == cfg.Kernel {
+			len(sc.c.hidden) == cfg.Hidden && len(sc.idx) == cfg.Kernel {
 			return sc
 		}
 	}
@@ -296,8 +399,7 @@ func (n *ConvNet) getScratch() *scratch {
 		winC:    tensor.NewVec(F),
 		winG:    tensor.NewVec(F),
 		dPooled: tensor.NewVec(F),
-		qIdx:    make([]int, cfg.Kernel),
-		qTh:     make([]int64, F),
+		idx:     make([]int, cfg.Kernel),
 		c: cache{
 			argmax: make([]int, F),
 			cVal:   tensor.NewVec(F),

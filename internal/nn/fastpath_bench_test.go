@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// The PredictTable* benchmark family is the CI speedup gate's input: the
-// same serving-size network scored through each table format, in one `go
-// test -bench` run so machine noise cancels. cmd/benchjson's -gate flag
-// enforces PredictTableQuant32 ≥ 1.3× PredictTableFloat (make quant-gate).
+// The kernel benchmarks score a random full-length input, which has no
+// padding and no zero windows, so they time every window of the table
+// kernel.
 //
 // The shape is the MalConv/NonNeg serving configuration (detect.SeqLen =
 // 16384); the literal is repeated here because internal/nn cannot import
@@ -26,9 +25,8 @@ func servingNet(b *testing.B) (*ConvNet, []byte) {
 	return n, raw
 }
 
-func benchPredict(b *testing.B, mode QuantMode) {
+func BenchmarkPredictTableFloat(b *testing.B) {
 	n, raw := servingNet(b)
-	n.SetQuantMode(mode)
 	n.Predict(raw) // build tables outside the timed region
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
@@ -36,9 +34,6 @@ func benchPredict(b *testing.B, mode QuantMode) {
 		n.Predict(raw)
 	}
 }
-
-func BenchmarkPredictTableFloat(b *testing.B)   { benchPredict(b, QuantOff) }
-func BenchmarkPredictTableQuant32(b *testing.B) { benchPredict(b, QuantInt32) }
 
 func BenchmarkConvStream(b *testing.B) {
 	n, raw := servingNet(b)

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,15 +20,20 @@ func fastPathConfigs() []ConvConfig {
 }
 
 // zeroRunInputs returns inputs whose windows repeat the all-zero window,
-// the case the table kernels skip: an all-zero input, leading, interior
+// the case the table kernel skips: an all-zero input, leading, interior
 // and trailing zero runs, scattered unaligned runs, a body of a corpus
 // sample's ~3.3 KB share of a 16 KiB window padded to SeqLen, and nonzero
 // bytes only past the first 8 bytes of every 16-byte stride, so a
 // stride-16 window's first word is always zero.
-func zeroRunInputs(cfg ConvConfig, rng *rand.Rand) map[string][]byte {
+//
+// It adds one input of each length class the kernel's window bound
+// (visited) treats differently, and paddingArgmaxInput's input, whose
+// first padding window wins a filter's max pool.
+func zeroRunInputs(t *testing.T, n *ConvNet, rng *rand.Rand) map[string][]byte {
+	cfg := n.Cfg
 	L := cfg.SeqLen
-	random := func(n int) []byte {
-		b := make([]byte, n)
+	random := func(size int) []byte {
+		b := make([]byte, size)
 		rng.Read(b)
 		return b
 	}
@@ -50,15 +54,48 @@ func zeroRunInputs(cfg ConvConfig, rng *rand.Rand) map[string][]byte {
 			behindWord[p] = byte(1 + rng.Intn(255))
 		}
 	}
-	return map[string][]byte{
-		"all-zero":     make([]byte, L),
-		"leading":      zeroed(random(L), 0, L/3),
-		"interior":     zeroed(random(L), L/3, 2*L/3),
-		"trailing":     zeroed(random(L), 2*L/3, L),
-		"runs":         runs,
-		"padded body":  random(L * 3300 / 16384),
-		"behind words": behindWord,
+	inputs := map[string][]byte{
+		"all-zero":       make([]byte, L),
+		"leading":        zeroed(random(L), 0, L/3),
+		"interior":       zeroed(random(L), L/3, 2*L/3),
+		"trailing":       zeroed(random(L), 2*L/3, L),
+		"runs":           runs,
+		"padded body":    random(L * 3300 / 16384),
+		"behind words":   behindWord,
+		"padding argmax": paddingArgmaxInput(t, n, rng),
 	}
+	K, S := cfg.Kernel, cfg.Stride
+	for _, m := range []int{0, 1, K - 1, K, S * (L / S / 2), S*(L/S/2) + 1, L - 1, L} {
+		inputs[fmt.Sprintf("length %d", m)] = random(m)
+	}
+	return inputs
+}
+
+// paddingArgmaxInput returns a short input of nonzero bytes, so no window
+// inside it is all zero, for which the first all-padding window is the
+// argmax of at least one filter under the direct forward. A window bound
+// that stops one window early never scores that window, so it must lose
+// this filter's max pool. It fails t if no such input turns up.
+func paddingArgmaxInput(t *testing.T, n *ConvNet, rng *rand.Rand) []byte {
+	t.Helper()
+	cfg := n.Cfg
+	sc := n.getScratch()
+	defer n.putScratch(sc)
+	for trial := 0; trial < 200; trial++ {
+		raw := make([]byte, 1+rng.Intn(2*cfg.Kernel))
+		for i := range raw {
+			raw[i] = byte(1 + rng.Intn(255))
+		}
+		first := (len(raw) + cfg.Stride - 1) / cfg.Stride
+		c := n.forward(raw, sc)
+		for _, w := range c.argmax {
+			if w == first {
+				return raw
+			}
+		}
+	}
+	t.Fatalf("%+v: no input of nonzero bytes has a padding-window argmax", cfg)
+	return nil
 }
 
 // sameCache fails t unless two forward caches agree bit for bit on every
@@ -78,36 +115,12 @@ func sameCache(t *testing.T, what string, want, got *cache) {
 	}
 }
 
-// forwardTableQuantUnskipped is forwardTableQuant without the repeated
-// zero-window skip: the exact reference for the fixed-point kernel, which
-// the direct float path is not.
-func (n *ConvNet) forwardTableQuantUnskipped(raw []byte, qt *quantTable, sc *scratch) *cache {
-	cfg := n.Cfg
-	c := &sc.c
-	c.x = n.pad(raw, sc)
-	F2 := 2 * cfg.Filters
-	sc.best.Fill(math.Inf(-1))
-	for i := range sc.qTh {
-		sc.qTh[i] = math.MinInt64
-	}
-	for t := 0; t < cfg.positions(); t++ {
-		pos := t * cfg.Stride
-		for j := 0; j < cfg.Kernel; j++ {
-			sc.qIdx[j] = (j*256 + int(c.x[pos+j])) * F2
-		}
-		n.quantWindow32(qt, sc, t)
-	}
-	copy(c.pooled, sc.best)
-	n.head(c)
-	return c
-}
-
 // TestTableForwardMatchesDirect is the fast-path parity guarantee: the
 // lookup-table forward must agree bit-for-bit with the direct weight-reading
 // forward on every cache field backward consumes, for random inputs of
-// every length class (short/padded, exact, truncated) and for inputs with
-// zero runs, whose repeated all-zero windows the table kernels skip. The
-// fixed-point kernel must likewise match its unskipped loop exactly.
+// every length class (short/padded, exact, truncated, and each class the
+// window bound treats differently) and for inputs with zero runs, whose
+// repeated all-zero windows the table kernel skips.
 func TestTableForwardMatchesDirect(t *testing.T) {
 	for ci, cfg := range fastPathConfigs() {
 		n, err := NewConvNet(cfg)
@@ -115,18 +128,16 @@ func TestTableForwardMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(40 + ci)))
-		inputs := zeroRunInputs(cfg, rng)
+		inputs := zeroRunInputs(t, n, rng)
 		for trial := 0; trial < 20; trial++ {
 			raw := make([]byte, 1+rng.Intn(2*cfg.SeqLen))
 			rng.Read(raw)
 			inputs[fmt.Sprintf("random %d", trial)] = raw
 		}
-		qt := n.buildQuantTable(QuantInt32)
 		for name, raw := range inputs {
 			what := fmt.Sprintf("cfg %d %s", ci, name)
 			scD, scT := n.getScratch(), n.getScratch()
 			sameCache(t, what, n.forward(raw, scD), n.forwardTable(raw, n.tables(), scT))
-			sameCache(t, what+" quant", n.forwardTableQuantUnskipped(raw, qt, scD), n.forwardTableQuant(raw, qt, scT))
 			n.putScratch(scD)
 			n.putScratch(scT)
 		}
@@ -189,7 +200,8 @@ func TestMarkWeightsChanged(t *testing.T) {
 
 // TestInputGradientTablePathMatchesDirect checks that the gradient computed
 // off a table-path forward equals one computed off a direct forward, on a
-// full-length random input and on inputs with zero runs.
+// full-length random input, on inputs with zero runs and on every length
+// class.
 func TestInputGradientTablePathMatchesDirect(t *testing.T) {
 	for ci, cfg := range fastPathConfigs() {
 		n, err := NewConvNet(cfg)
@@ -197,7 +209,7 @@ func TestInputGradientTablePathMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(60 + ci)))
-		inputs := zeroRunInputs(cfg, rng)
+		inputs := zeroRunInputs(t, n, rng)
 		inputs["random"] = make([]byte, cfg.SeqLen)
 		rng.Read(inputs["random"])
 		for name, raw := range inputs {

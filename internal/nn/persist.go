@@ -106,11 +106,6 @@ func (n *ConvNet) GobDecode(data []byte) error {
 	n.gHidW, n.gHidB = m.gHidW, m.gHidB
 	n.gOutW, n.gOutB = m.gOutW, m.gOutB
 	n.paramList, n.gradList = nil, nil
-	// Quantized tables are never persisted; drop any cached image so the
-	// fixed-point path re-derives from the loaded weights. The selected
-	// QuantMode survives the decode — a live daemon hot-reloading weights
-	// keeps serving the format it was configured for.
-	n.qtab.Store(nil)
 	n.MarkWeightsChanged()
 	return nil
 }

@@ -6,9 +6,9 @@ package nn
 // The MalConv-family models truncate (or zero-pad) every input to
 // Cfg.SeqLen bytes before the convolution, so a streaming pass needs no
 // window-carry machinery at all: Feed copies bytes into the pooled padded-
-// input scratch until it is full and discards the rest, and Finish
-// zero-pads the tail and runs the normal table forward — float64 or
-// fixed-point per the network's QuantMode. Scores are therefore exactly
+// input scratch until it is full and discards the rest, and Finish scores
+// the filled prefix through the normal bounded table forward, which pads
+// only as far as it reads. Scores are therefore exactly
 // Predict(concat(chunks)), bit for bit, under every chunking. stream_test.go
 // pins that equivalence.
 //
@@ -48,21 +48,12 @@ func (s *ConvStream) Feed(p []byte) {
 	s.fill += copy(buf[s.fill:], p)
 }
 
-// Finish zero-pads the remaining tail, scores the assembled window through
-// the active table path, releases the stream's buffers, and returns the
-// malware probability. The stream must not be used afterwards.
+// Finish scores the fed bytes through the table path, releases the
+// stream's buffers, and returns the malware probability. The stream must
+// not be used afterwards.
 func (s *ConvStream) Finish() float64 {
 	n, sc := s.n, s.sc
-	buf := sc.padBuf
-	for i := s.fill; i < len(buf); i++ {
-		buf[i] = 0
-	}
-	var score float64
-	if qt := n.quantTables(); qt != nil {
-		score = n.forwardTableQuant(buf, qt, sc).score
-	} else {
-		score = n.forwardTable(buf, n.tables(), sc).score
-	}
+	score := n.forwardTable(sc.padBuf[:s.fill], n.tables(), sc).score
 	n.putScratch(sc)
 	s.sc = nil
 	s.fill = 0

@@ -1,8 +1,7 @@
 // POST /v1/models/reload — zero-downtime model hot-reload. The handler asks
 // the configured loader for a candidate engine set, certifies it (every
-// engine healthy, every probe score finite, quantized tables within their
-// certified tolerance of the float path), and only then swaps it into the
-// registry — the one cell every request path reads. In-flight requests
+// engine healthy, every probe score finite), and only then swaps it into
+// the registry — the one cell every request path reads. In-flight requests
 // finish on the old generation, new requests see the new one, and the score
 // cache is purged so no stale-generation score survives the swap. A
 // candidate that fails certification is rejected with 422 and the old
@@ -17,7 +16,6 @@ import (
 
 	"mpass/internal/corpus"
 	"mpass/internal/engine"
-	"mpass/internal/nn"
 )
 
 // reloadResponse is the POST /v1/models/reload response document.
@@ -53,9 +51,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "loading model set: "+err.Error())
 		return
 	}
-	// Incoming engines serve in the configured fixed-point mode; apply it
-	// before certification so the parity gate checks exactly what will serve.
-	next.SetQuantMode(s.cfg.Quant)
 	if err := s.certify(next); err != nil {
 		s.metrics.ReloadFailures.Add(1)
 		writeError(w, http.StatusUnprocessableEntity, "certification failed: "+err.Error())
@@ -82,10 +77,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // certify gates a swap on the candidate set: every engine must report
-// healthy, score every probe sample to a finite value, and — when a
-// fixed-point table mode is serving — stay within the mode's certified
-// tolerance of its own float path with no label flips across the engine's
-// threshold. The old generation keeps serving while this runs.
+// healthy and score every probe sample to a finite value. The old
+// generation keeps serving while this runs.
 func (s *Server) certify(next *engine.Set) error {
 	for _, d := range next.Drivers() {
 		if err := d.Health(); err != nil {
@@ -105,37 +98,14 @@ func (s *Server) certify(next *engine.Set) error {
 				return fmt.Errorf("engine %s: non-finite score %v on probe %d", d.Name(), sc, i)
 			}
 		}
-		if s.cfg.Quant == nn.QuantOff {
-			continue
-		}
-		q, ok := engine.QuantizerOf(d)
-		if !ok {
-			continue
-		}
-		// Quant-mode parity: the quantized scores just computed against the
-		// float reference, restoring the serving mode afterwards.
-		q.SetQuantMode(nn.QuantOff)
-		ref := d.ScoreBatch(s.probes)
-		q.SetQuantMode(s.cfg.Quant)
-		const tol = 1e-6
-		thr := d.Threshold()
-		for i := range ref {
-			if diff := math.Abs(scores[i] - ref[i]); diff > tol {
-				return fmt.Errorf("engine %s: %v deviates %.3g from the float path on probe %d (tolerance %.0g)",
-					d.Name(), s.cfg.Quant, diff, i, tol)
-			}
-			if (scores[i] >= thr) != (ref[i] >= thr) {
-				return fmt.Errorf("engine %s: %v flips the label on probe %d", d.Name(), s.cfg.Quant, i)
-			}
-		}
 	}
 	return nil
 }
 
 // defaultProbeCorpus synthesizes the certification corpus when the embedder
 // does not supply one: a deterministic handful of benign and malicious
-// samples from the synthetic generator, enough to catch NaN weights and
-// broken quant tables without making reloads slow.
+// samples from the synthetic generator, enough to catch NaN weights
+// without making reloads slow.
 func defaultProbeCorpus() [][]byte {
 	g := corpus.NewGenerator(4242)
 	probes := make([][]byte, 0, 8)

@@ -94,12 +94,10 @@ type Config struct {
 	// path argument is the request's optional ?path= override, empty for the
 	// configured default). Nil disables the endpoint (501).
 	Reload func(path string) (*engine.Set, error)
-	// Quant is the fixed-point table mode quantization-capable engines serve
-	// in; reload certification re-applies it to incoming engines and gates
-	// the swap on quant-vs-float parity.
+	// Deprecated: ignored; the engines have one numeric format, float64.
 	Quant nn.QuantMode
 	// ProbeCorpus is the certification corpus reload candidates must score
-	// finitely (and quant-consistently) before they may serve. Empty
+	// finitely before they may serve. Empty
 	// synthesizes a deterministic default when Reload is configured.
 	ProbeCorpus [][]byte
 

@@ -6,7 +6,7 @@
 # there by cmd/benchjson, which never overwrites an existing file unless
 # FORCE_BENCH=1. Drills (Makefile target):
 #
-#   smoke     1 int32-quantized replica              (serve-smoke)
+#   smoke     1 replica: scan, attack, streamed upload (serve-smoke)
 #   faults    1 replica with oracle fault injection  (serve-faults)
 #   reload    1 replica, 3 model swaps under load    (reload-smoke)
 #   bench     1 replica, bigger corpus and burst     (bench-json)
@@ -117,7 +117,7 @@ refuse() {
 
 case "$drill" in
 smoke)
-	fleet 1 -quant int32
+	fleet 1
 	run "$addr_r0" serve-smoke
 	;;
 faults)
@@ -130,9 +130,9 @@ faults)
 reload)
 	# The reload loader re-reads the envelopes r0 persisted: identical
 	# bytes, so the drill also proves a same-weights swap is
-	# score-invisible. int32 serving makes every swap pass the quant
-	# parity certification, not just the health/finite gates.
-	fleet 1 -quant int32
+	# score-invisible. Every swap must pass the health and finite-score
+	# certification.
+	fleet 1
 	run "$addr_r0" serve-reload
 	;;
 bench)
